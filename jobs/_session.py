@@ -1,12 +1,19 @@
 """Shared SparkSession bootstrap for spark-submit / plain-python jobs.
 
 Mirrors conftest.py's session settings (local master, Arrow on,
-broadcast joins off) without importing pytest machinery.
+broadcast joins off) without importing pytest machinery.  Puts ``src``
+on ``sys.path`` and on ``PYTHONPATH`` before the JVM starts, so the
+driver and the Spark Python workers both import ``repro`` from a clean
+checkout without ``pip install -e .``.
 """
 import os
 import sys
 
-sys.path.insert(0, os.path.join(os.path.dirname(__file__), ".."))
+SRC = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", "src"))
+sys.path.insert(0, SRC)
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    p for p in (SRC, os.environ.get("PYTHONPATH")) if p
+)
 
 os.environ.setdefault(
     "PYSPARK_SUBMIT_ARGS",

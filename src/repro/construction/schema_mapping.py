@@ -9,17 +9,24 @@ The matcher runs in three stages per raw surface string:
 
 1. **precise** — exact trie hit on the canonical-name trie;
 2. **synonym** — exact trie hit on the synonym trie (registered aliases);
-3. **fuzzy** — bounded-edit-distance scan (k=1) over the synonym table,
-   catching misspellings neither trie lists.
+3. **fuzzy** — nearest dictionary surface within edit distance
+   ``FUZZY_K`` = 2, catching misspellings neither trie lists.  Candidates
+   come from a deletion-neighbourhood index (FastSS: Bocek, Hunt &
+   Stiller 2007, "Fast Similarity Search in Large Dictionaries"; SymSpell
+   uses the same idea) and are verified with ``bounded_levenshtein``, so
+   a lookup costs the query's deletion variants plus a few verifications
+   instead of one comparison per dictionary entry.
 
-Distribution: the tries/table are broadcast, and matching runs inside
-``mapInPandas`` so a billion-row catalogue links without collecting to
-the driver.
+Distribution: the tries, table and index are broadcast, and matching
+runs inside ``mapInPandas`` so a billion-row catalogue links without
+collecting to the driver.
 """
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Tuple
+import zlib
+from typing import Iterator, List, Optional, Set, Tuple
 
+import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql.types import StringType, StructField, StructType
@@ -38,8 +45,29 @@ LINK_SCHEMA = StructType(
 )
 
 
+def _deletions(s: str, k: int) -> Set[str]:
+    """Every string obtained from ``s`` by deleting at most ``k`` characters."""
+    out = frontier = {s}
+    for _ in range(k):
+        frontier = {w[:i] + w[i + 1:] for w in frontier for i in range(len(w))}
+        out = out | frontier
+    return out
+
+
+def _crc32(variants: Set[str]) -> np.ndarray:
+    # zlib.crc32, not hash(): the index is built on the driver and probed
+    # on Spark workers, whose PYTHONHASHSEED differs per process.
+    return np.fromiter(
+        (zlib.crc32(v.encode()) for v in variants), np.uint32, len(variants)
+    )
+
+
 class SurfaceMatcher:
     """Picklable matcher over one class's surface-form dictionary."""
+
+    #: fuzzy budget: adjacent-character swaps cost 2 plain-Levenshtein
+    #: edits, so k=2 is the smallest bound that absorbs them.
+    FUZZY_K = 2
 
     def __init__(self, synonym_table: pd.DataFrame):
         canon = synonym_table[synonym_table["form"] == "canonical"]
@@ -49,21 +77,47 @@ class SurfaceMatcher:
         self.synonym_trie = Trie.from_pairs(
             zip(synonym_table["surface"], synonym_table["node_id"])
         )
-        # fuzzy scan list: (surface, node) — small, vocabulary-sized
+        # dictionary for the fuzzy stage: (surface, node) by position
         self.entries: List[Tuple[str, str]] = list(
             zip(synonym_table["surface"], synonym_table["node_id"])
         )
+        # deletion-neighbourhood index: the CRC-32 of every <=FUZZY_K-
+        # deletion variant of every entry, sorted, with the entry's
+        # position alongside (ascending within one key)
+        crcs = [_crc32(_deletions(s, self.FUZZY_K)) for s, _ in self.entries]
+        keys = np.concatenate([np.empty(0, np.uint32), *crcs])
+        pos = np.repeat(
+            np.arange(len(crcs), dtype=np.int32), [len(c) for c in crcs]
+        )
+        order = np.argsort(keys, kind="stable")
+        self.variant_crc: np.ndarray = keys[order]
+        self.variant_pos: np.ndarray = pos[order]
 
-    #: fuzzy budget: adjacent-character swaps cost 2 plain-Levenshtein
-    #: edits, so k=2 is the smallest bound that absorbs them.
-    FUZZY_K = 2
+    def _candidates(self, raw: str) -> List[int]:
+        """Ascending dictionary positions sharing a <=FUZZY_K-deletion
+        variant (by CRC-32) with ``raw``."""
+        q = _crc32(_deletions(raw, self.FUZZY_K))
+        lo = np.searchsorted(self.variant_crc, q, "left")
+        hi = np.searchsorted(self.variant_crc, q, "right")
+        runs = [self.variant_pos[a:b] for a, b in zip(lo, hi) if b > a]
+        return np.unique(np.concatenate(runs)).tolist() if runs else []
 
     def match(self, raw: Optional[str]) -> Tuple[Optional[str], Optional[str]]:
         """(node_id, method) for one raw string; (None, None) on miss.
 
-        Fuzzy stage keeps the *minimum-distance* candidate: dictionary
-        surfaces can be 1 edit apart from each other (brand_…00004 vs
-        …00005), so first-hit-wins would mislink misspellings.
+        The fuzzy stage returns the entry with the minimum (edit distance,
+        dictionary position) within ``FUZZY_K``: dictionary surfaces can
+        be 1 edit apart from each other (brand_…00004 vs …00005), so
+        first-hit-wins would mislink misspellings.  Candidates are
+        verified in ascending position and the first distance-1 entry
+        ends the search (distance 0 is a synonym-trie hit).
+
+        The index is exact, not approximate: if ``ed(raw, s) <= k``, then
+        deleting at most k characters from each side yields a common
+        string (each substitution deletes one character on both sides,
+        each insertion or deletion one on one side), so every entry the
+        full scan would accept is a candidate.  A CRC-32 collision only
+        adds a candidate, which verification rejects.
         """
         if raw is None or raw == "":
             return None, None
@@ -74,7 +128,8 @@ class SurfaceMatcher:
         if hit is not None:
             return hit, "synonym"
         best_d, best_node = None, None
-        for surface, node in self.entries:
+        for p in self._candidates(raw):
+            surface, node = self.entries[p]
             d = bounded_levenshtein(raw, surface, self.FUZZY_K)
             if d is not None and (best_d is None or d < best_d):
                 best_d, best_node = d, node

@@ -1,7 +1,9 @@
 """Tests for the trie and the bounded edit-distance helper."""
+import random
+
 import pytest
 
-from repro.construction.trie import Trie, levenshtein_leq
+from repro.construction.trie import Trie, bounded_levenshtein, levenshtein_leq
 
 
 def test_insert_lookup_roundtrip():
@@ -72,3 +74,29 @@ def test_levenshtein_symmetric():
     assert levenshtein_leq("kitten", "sitting", 3)
     assert levenshtein_leq("sitting", "kitten", 3)
     assert not levenshtein_leq("kitten", "sitting", 2)
+
+
+def _edit_distance(a, b):
+    """Plain full-table Levenshtein distance."""
+    prev = list(range(len(b) + 1))
+    for i, ca in enumerate(a, 1):
+        cur = [i]
+        for j, cb in enumerate(b, 1):
+            cur.append(min(prev[j] + 1, cur[j - 1] + 1, prev[j - 1] + (ca != cb)))
+        prev = cur
+    return prev[-1]
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_bounded_levenshtein_matches_full_dp(k):
+    """The fuzzy index's exactness rests on this helper: it must return
+    the true distance when it is <= k and None otherwise."""
+    rng = random.Random(k)
+    near = 0
+    for _ in range(5000):
+        a = "".join(rng.choices("abc", k=rng.randint(0, 7)))
+        b = "".join(rng.choices("abc", k=rng.randint(0, 7)))
+        d = _edit_distance(a, b)
+        near += d <= k
+        assert bounded_levenshtein(a, b, k) == (d if d <= k else None), (a, b)
+    assert near > 500  # both outcomes are well represented
