@@ -15,7 +15,6 @@ construction pipeline, not dialed per cell.
 from __future__ import annotations
 
 import dataclasses
-import math
 from typing import Dict, List
 
 # ---------------------------------------------------------------------------
@@ -220,25 +219,3 @@ BENCH_CONFIG = ScaledConfig(scale=1e-3, rel_scale=0.1, seed=7)
 #: generalization), small enough that the whole table suite runs in
 #: minutes on one machine.
 EXP_CONFIG = ScaledConfig(scale=5e-3, rel_scale=0.1, seed=7)
-
-
-def expected_taxonomy_total(cfg: ScaledConfig, root: str) -> int:
-    """Scaled '# All' column of Table I's taxonomy block."""
-    return sum(cfg.taxonomy_levels(root))
-
-
-def scale_count(n: int, cfg: ScaledConfig) -> int:
-    """Public helper: paper count → scaled target (floor 1)."""
-    return _scaled(n, cfg.scale)
-
-
-def fmt_factor(paper: float, measured: float) -> str:
-    """Human-readable paper/measured ratio used in EXPERIMENTS.md."""
-    if measured == 0:
-        return "inf"
-    return f"{paper / measured:,.1f}x"
-
-
-def poisson_total(rate: float, n: int) -> int:
-    """Expected total of n Poisson(rate) draws (for sanity checks)."""
-    return int(math.floor(rate * n))

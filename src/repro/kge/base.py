@@ -1,18 +1,40 @@
-"""Base KGE model: parameter store, AdaGrad, training loop.
+"""Base KGE model: parameter store, AdaGrad, shared training steps.
 
-Every model implements ``score_triples`` (higher = more plausible) and
-``train_step`` (one mini-batch gradient update).  The shared ``fit``
-loop does deterministic shuffling, negative sampling and batching —
-mirroring the paper's training setup (AdaGrad/SGD, negative sampling,
-dim 200 at paper scale; dim ≤ 64 here).
+A model states its score once and inherits training and ranking:
+
+- ``entity_embeddings()`` — the (n_ent, dim) entity matrix the score
+  reads: ``params["E"]`` by default, ``X @ P`` for the text models,
+  ``E + (gated) visual`` for the multimodal ones;
+- ``score_triples(tr, E=None)`` — the row-wise score formula for (n, 3)
+  index triples, higher = more plausible.  ``E`` is
+  ``entity_embeddings()`` when the caller already holds it;
+- ``score_all(anchors, rels, tails=True)`` — (B, n_ent) scores of every
+  entity as tail (or head) of each (anchor, relation) query.  Each row
+  is computed on its own, so it is bit-identical to the one-query call
+  ``score_candidates`` makes;
+- the gradient hook of its training step: ``margin_grads`` under
+  :class:`MarginModel`, ``bce_grads`` under :class:`BCEModel` (GenKGC
+  keeps its own softmax ``train_step``).  A hook applies its AdaGrad
+  updates itself, because some updates read parameters that an earlier
+  update in the same step has moved.  The shared translational and
+  trilinear hooks pass the gradient of ``entity_embeddings()`` rows to
+  ``entity_grads``, which each way of building that matrix (free table,
+  text projection, visual fusion) implements once.
+
+The shared ``fit`` loop does deterministic shuffling, negative sampling
+and batching — mirroring the paper's training setup (AdaGrad/SGD,
+negative sampling, dim 200 at paper scale; dim ≤ 64 here).
 """
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.kge.data import KGEDataset, negative_sample
+
+#: (entity indices, dL/d entity_embeddings()[indices]) pairs
+Blocks = List[Tuple[np.ndarray, np.ndarray]]
 
 
 class KGEModel:
@@ -43,9 +65,22 @@ class KGEModel:
         acc += grad**2
         p -= self.lr * grad / np.sqrt(acc)
 
+    def entity_grads(self, blocks: Blocks) -> None:
+        """Backpropagate entity-row gradients into the free table E."""
+        for idx, g in blocks:
+            self.sparse_update("E", idx, g)
+
     # ---- model interface --------------------------------------------------
-    def score_triples(self, triples: np.ndarray) -> np.ndarray:
+    def entity_embeddings(self) -> np.ndarray:
+        return self.params["E"]
+
+    def score_triples(self, triples: np.ndarray, E: Optional[np.ndarray] = None) -> np.ndarray:
         """Plausibility scores for (n, 3) index triples; higher = better."""
+        raise NotImplementedError
+
+    def score_all(self, anchors: np.ndarray, rels: np.ndarray, tails: bool = True) -> np.ndarray:
+        """(B, n_ent) scores of every entity as tail (``tails``) or head
+        of the queries (anchors[i], rels[i]); one row per query."""
         raise NotImplementedError
 
     def train_step(self, pos: np.ndarray, neg: np.ndarray) -> float:
@@ -53,17 +88,9 @@ class KGEModel:
         raise NotImplementedError
 
     def score_candidates(self, h: int, r: int, tails: bool = True) -> np.ndarray:
-        """Scores of every entity as candidate tail (or head) — default
-        implementation builds the full triple batch; models may
-        specialize for speed."""
-        cand = np.arange(self.n_ent, dtype=np.int32)
-        fixed = np.full(self.n_ent, h, dtype=np.int32)
-        rel = np.full(self.n_ent, r, dtype=np.int32)
-        if tails:
-            batch = np.stack([fixed, rel, cand], axis=1)
-        else:
-            batch = np.stack([cand, rel, fixed], axis=1)
-        return self.score_triples(batch)
+        """Scores of every entity as candidate tail (or head, with ``h``
+        the fixed tail): the one-query view of :meth:`score_all`."""
+        return self.score_all(np.array([h]), np.array([r]), tails)[0]
 
     # ---- training loop ----------------------------------------------------
     def fit(
@@ -87,15 +114,47 @@ class KGEModel:
         return self
 
 
-def margin_loss_grads(pos_d: np.ndarray, neg_d: np.ndarray, margin: float):
-    """Margin ranking loss over distance scores (lower d = better).
+class MarginModel(KGEModel):
+    """Margin ranking loss: each positive is paired with its k negatives
+    and only the pairs that violate the margin contribute."""
 
-    Positives are repeated to align with k negatives upstream; returns
-    (loss, active mask) where active selects violating pairs.
-    """
-    viol = margin + pos_d - neg_d
-    active = viol > 0
-    return float(viol[active].sum()), active
+    margin = 1.0
+
+    def train_step(self, pos: np.ndarray, neg: np.ndarray) -> float:
+        p = np.repeat(pos, len(neg) // len(pos), axis=0)
+        E = self.entity_embeddings()
+        viol = self.margin - self.score_triples(p, E) + self.score_triples(neg, E)
+        act = viol > 0
+        if not act.any():
+            return 0.0
+        self.margin_grads(p[act], neg[act], E)
+        return float(viol[act].sum())
+
+    def margin_grads(self, pa: np.ndarray, na: np.ndarray, E: np.ndarray) -> None:
+        """Update the parameters for the violating pairs (pa[i], na[i])."""
+        raise NotImplementedError
+
+
+class BCEModel(KGEModel):
+    """Binary cross-entropy over positives (label 1) and negatives (0)."""
+
+    def train_step(self, pos: np.ndarray, neg: np.ndarray) -> float:
+        tr = np.concatenate([pos, neg])
+        labels = np.concatenate([np.ones(len(pos)), np.zeros(len(neg))])
+        E = self.entity_embeddings()
+        loss, g = bce_loss_grad(self.score_triples(tr, E), labels)
+        self.bce_grads(tr, g[:, None], E)
+        return loss
+
+    def bce_grads(self, tr: np.ndarray, g: np.ndarray, E: np.ndarray) -> None:
+        """Update the parameters given dL/dscore ``g`` (n, 1) per triple."""
+        raise NotImplementedError
+
+
+def through(F: np.ndarray, blocks: Blocks) -> np.ndarray:
+    """Gradient of a projection W in ``F @ W`` from entity-row blocks,
+    summed block by block in the given order."""
+    return sum(F[idx].T @ g for idx, g in blocks)
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:

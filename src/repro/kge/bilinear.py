@@ -1,12 +1,32 @@
-"""Bilinear models: DistMult and ComplEx (BCE + negative sampling)."""
+"""Bilinear models: DistMult and ComplEx (BCE + negative sampling), and
+the trilinear score StAR and MKGformer share with DistMult."""
 from __future__ import annotations
 
 import numpy as np
 
-from repro.kge.base import KGEModel, bce_loss_grad
+from repro.kge.base import BCEModel
 
 
-class DistMult(KGEModel):
+class Trilinear(BCEModel):
+    """s(h, r, t) = Σ e_h ∘ r ∘ e_t over ``entity_embeddings()``; the
+    score of DistMult, StAR and MKGformer."""
+
+    def score_triples(self, tr: np.ndarray, E=None) -> np.ndarray:
+        E = self.entity_embeddings() if E is None else E
+        return np.einsum("ij,ij,ij->i", E[tr[:, 0]], self.params["R"][tr[:, 1]], E[tr[:, 2]])
+
+    def score_all(self, anchors, rels, tails: bool = True) -> np.ndarray:
+        # symmetric in h/t: identical for heads and tails
+        E, R = self.entity_embeddings(), self.params["R"]
+        return np.array([E @ (E[a] * R[r]) for a, r in zip(anchors, rels)])
+
+    def bce_grads(self, tr, g, E) -> None:
+        h, r, t = E[tr[:, 0]], self.params["R"][tr[:, 1]], E[tr[:, 2]]
+        self.sparse_update("R", tr[:, 1], g * h * t)
+        self.entity_grads([(tr[:, 0], g * r * t), (tr[:, 2], g * r * h)])
+
+
+class DistMult(Trilinear):
     """Yang et al. 2015: s = Σ h ∘ r ∘ t (symmetric in h/t — the
     weakness the paper's results expose on asymmetric business KGs)."""
 
@@ -17,28 +37,8 @@ class DistMult(KGEModel):
         self.add_param("E", (n_ent, dim))
         self.add_param("R", (n_rel, dim))
 
-    def score_triples(self, tr: np.ndarray) -> np.ndarray:
-        E, R = self.params["E"], self.params["R"]
-        return np.einsum("ij,ij,ij->i", E[tr[:, 0]], R[tr[:, 1]], E[tr[:, 2]])
 
-    def train_step(self, pos: np.ndarray, neg: np.ndarray) -> float:
-        tr = np.concatenate([pos, neg])
-        labels = np.concatenate([np.ones(len(pos)), np.zeros(len(neg))])
-        E, R = self.params["E"], self.params["R"]
-        h, r, t = E[tr[:, 0]], R[tr[:, 1]], E[tr[:, 2]]
-        loss, g = bce_loss_grad(np.einsum("ij,ij,ij->i", h, r, t), labels)
-        g = g[:, None]
-        self.sparse_update("E", tr[:, 0], g * r * t)
-        self.sparse_update("E", tr[:, 2], g * r * h)
-        self.sparse_update("R", tr[:, 1], g * h * t)
-        return loss
-
-    def score_candidates(self, h: int, r: int, tails: bool = True) -> np.ndarray:
-        E, R = self.params["E"], self.params["R"]
-        return E @ (E[h] * R[r])  # symmetric: identical for heads/tails
-
-
-class ComplEx(KGEModel):
+class ComplEx(BCEModel):
     """Trouillon et al. 2016: Re⟨h, r, conj(t)⟩ over ℂ^{dim/2}."""
 
     name = "ComplEx"
@@ -53,7 +53,7 @@ class ComplEx(KGEModel):
         d = self.dim // 2
         return x[..., :d], x[..., d:]
 
-    def score_triples(self, tr: np.ndarray) -> np.ndarray:
+    def score_triples(self, tr: np.ndarray, E=None) -> np.ndarray:
         E, R = self.params["E"], self.params["R"]
         hr, hi = self._split(E[tr[:, 0]])
         rr, ri = self._split(R[tr[:, 1]])
@@ -63,18 +63,24 @@ class ComplEx(KGEModel):
             hr * rr * tr_ + hi * rr * ti + hr * ri * ti - hi * ri * tr_,
         )
 
-    def train_step(self, pos: np.ndarray, neg: np.ndarray) -> float:
-        tr = np.concatenate([pos, neg])
-        labels = np.concatenate([np.ones(len(pos)), np.zeros(len(neg))])
+    def score_all(self, anchors, rels, tails: bool = True) -> np.ndarray:
         E, R = self.params["E"], self.params["R"]
+        er, ei = self._split(E)
+        out = []
+        for a, r in zip(anchors, rels):
+            rr, ri = self._split(R[r])
+            ar, ai = self._split(E[a])
+            if tails:  # Re⟨a, r, conj(t)⟩ over all t
+                out.append(er @ (ar * rr - ai * ri) + ei @ (ai * rr + ar * ri))
+            else:  # over all heads with fixed tail a
+                out.append(er @ (rr * ar + ri * ai) + ei @ (rr * ai - ri * ar))
+        return np.array(out)
+
+    def bce_grads(self, tr, g, E) -> None:
+        R = self.params["R"]
         hr, hi = self._split(E[tr[:, 0]])
         rr, ri = self._split(R[tr[:, 1]])
         t_r, t_i = self._split(E[tr[:, 2]])
-        s = np.einsum(
-            "ij->i", hr * rr * t_r + hi * rr * t_i + hr * ri * t_i - hi * ri * t_r
-        )
-        loss, g = bce_loss_grad(s, labels)
-        g = g[:, None]
         g_hr = g * (rr * t_r + ri * t_i)
         g_hi = g * (rr * t_i - ri * t_r)
         g_tr = g * (hr * rr - hi * ri)
@@ -84,17 +90,3 @@ class ComplEx(KGEModel):
         self.sparse_update("E", tr[:, 0], np.concatenate([g_hr, g_hi], axis=1))
         self.sparse_update("E", tr[:, 2], np.concatenate([g_tr, g_ti], axis=1))
         self.sparse_update("R", tr[:, 1], np.concatenate([g_rr, g_ri], axis=1))
-        return loss
-
-    def score_candidates(self, h: int, r: int, tails: bool = True) -> np.ndarray:
-        E, R = self.params["E"], self.params["R"]
-        er, ei = self._split(E)
-        rr, ri = self._split(R[r])
-        ar, ai = self._split(E[h])
-        if tails:
-            # Re⟨a, r, conj(t)⟩ over all t
-            return (
-                er @ (ar * rr - ai * ri) + ei @ (ai * rr + ar * ri)
-            )
-        # over all heads with fixed tail a
-        return er @ (rr * ar + ri * ai) + ei @ (rr * ai - ri * ar)

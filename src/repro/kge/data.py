@@ -1,13 +1,44 @@
-"""Triple indexing and negative sampling for KGE training."""
+"""Triple indexing, known-target filters and negative sampling for KGE."""
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
 
 import numpy as np
 import pandas as pd
 
-from repro.benchmark.build import Benchmark
+if TYPE_CHECKING:
+    from repro.benchmark.build import Benchmark
+
+
+@dataclasses.dataclass(frozen=True)
+class KnownTargets:
+    """Every known target of each (anchor, relation) query, in CSR form.
+
+    Entries are sorted by the row key ``anchor * n_rel + relation``, so
+    the targets of one query are the contiguous run ``targets[lo:hi]``
+    whose bounds binary search finds in ``keys``.
+    """
+
+    n_rel: int
+    keys: np.ndarray
+    targets: np.ndarray
+
+    @classmethod
+    def build(cls, anchors: np.ndarray, rels: np.ndarray, targets: np.ndarray,
+              n_rel: int) -> "KnownTargets":
+        keys = anchors.astype(np.int64) * n_rel + rels
+        order = np.argsort(keys, kind="stable")
+        return cls(n_rel, keys[order], targets[order])
+
+    def mask(self, scores: np.ndarray, anchors: np.ndarray, rels: np.ndarray) -> None:
+        """In place: scores[i, t] = -inf for every known target t of
+        query (anchors[i], rels[i])."""
+        q = anchors.astype(np.int64) * self.n_rel + rels
+        lo = np.searchsorted(self.keys, q, "left")
+        hi = np.searchsorted(self.keys, q, "right")
+        for row, a, b in zip(scores, lo, hi):
+            row[self.targets[a:b]] = -np.inf
 
 
 @dataclasses.dataclass
@@ -17,7 +48,8 @@ class KGEDataset:
     ``train``/``dev``/``test`` are (n, 3) int32 arrays of
     (head, relation, tail) indices.  ``known`` holds every true triple
     across all splits — the *filtered* evaluation protocol removes these
-    from candidate rankings.
+    from candidate rankings, through ``filters["tail"]`` (known tails of
+    each (h, r)) and ``filters["head"]`` (known heads of each (t, r)).
     """
 
     entities: List[str]
@@ -28,6 +60,7 @@ class KGEDataset:
     ent_idx: Dict[str, int]
     rel_idx: Dict[str, int]
     known: Set[Tuple[int, int, int]]
+    filters: Dict[str, KnownTargets]
 
     @property
     def n_ent(self) -> int:
@@ -63,21 +96,16 @@ class KGEDataset:
             )
 
         tr, dv, te = enc(train), enc(dev), enc(test)
-        known = {tuple(row) for row in np.concatenate([tr, dv, te]).tolist()}
-        return cls(entities, relations, tr, dv, te, ent_idx, rel_idx, known)
+        every = np.concatenate([tr, dv, te])
+        known = {tuple(row) for row in every.tolist()}
+        h, r, t = every.T
+        filters = {"tail": KnownTargets.build(h, r, t, len(relations)),
+                   "head": KnownTargets.build(t, r, h, len(relations))}
+        return cls(entities, relations, tr, dv, te, ent_idx, rel_idx, known, filters)
 
     @classmethod
     def from_benchmark(cls, bench: Benchmark) -> "KGEDataset":
         return cls.from_frames(bench.train_pdf, bench.dev_pdf, bench.test_pdf)
-
-    def filtered_targets(self) -> Tuple[Dict, Dict]:
-        """(h,r)→{t} and (r,t)→{h} lookup of all known triples."""
-        by_hr: Dict[Tuple[int, int], Set[int]] = {}
-        by_rt: Dict[Tuple[int, int], Set[int]] = {}
-        for h, r, t in self.known:
-            by_hr.setdefault((h, r), set()).add(t)
-            by_rt.setdefault((r, t), set()).add(h)
-        return by_hr, by_rt
 
 
 def negative_sample(

@@ -5,53 +5,41 @@ as a candidate tail (and, standardly, head), mask out *other* known true
 triples (filtered setting), and rank the gold entity; report Hits@1/3/10
 (higher better), Mean Rank (lower better), Mean Reciprocal Rank.
 
-Two implementations:
-
-- :func:`evaluate` — driver-side numpy reference;
-- :func:`evaluate_spark` — the trained model and the known-triple
-  filter are broadcast, and ranks are computed distributed over test
-  triples with ``mapInPandas``; tests assert it matches the reference
-  exactly.
+Queries are scored ``CHUNK`` at a time with the model's ``score_all``
+and masked with the dataset's CSR filters of known targets.
 """
 from __future__ import annotations
 
-from typing import Dict, Iterator, Tuple
+from typing import Dict
 
 import numpy as np
-import pandas as pd
-from pyspark.sql import SparkSession
-from pyspark.sql.types import LongType, StructField, StructType
 
 from repro.kge.base import KGEModel
-from repro.kge.data import KGEDataset
-
-RANK_SCHEMA = StructType([StructField("rank", LongType(), False)])
-
-
-def _rank_one(
-    model: KGEModel,
-    h: int,
-    r: int,
-    t: int,
-    filt: Dict[Tuple[int, int], set],
-    tails: bool,
-) -> int:
-    anchor, gold = (h, t) if tails else (t, h)
-    scores = model.score_candidates(anchor, r, tails=tails)
-    gold_score = scores[gold]
-    others = filt.get((anchor, r), ())
-    if others:
-        idx = np.fromiter((o for o in others if o != gold), dtype=np.int64)
-        if len(idx):
-            scores = scores.copy()
-            scores[idx] = -np.inf
-    return int(1 + np.sum(scores > gold_score))
-
+from repro.kge.data import KGEDataset, KnownTargets
 
 #: Paper protocol (Sec. III-C): "given an incomplete triple (h, r, ?)
 #: … predict a tail entity t" — tail prediction only.  Pass
 #: ``("tail", "head")`` for the symmetric protocol other papers use.
 DEFAULT_DIRECTIONS = ("tail",)
+
+#: queries per ``score_all`` call; bounds the (CHUNK, n_ent) score block
+CHUNK = 64
+
+
+def _filtered_ranks(
+    model: KGEModel, triples: np.ndarray, filt: KnownTargets, tails: bool
+) -> np.ndarray:
+    anchor_col, gold_col = (0, 2) if tails else (2, 0)
+    ranks = np.empty(len(triples), dtype=np.int64)
+    for s in range(0, len(triples), CHUNK):
+        q = triples[s : s + CHUNK]
+        anchors, rels, gold = q[:, anchor_col], q[:, 1], q[:, gold_col]
+        scores = model.score_all(anchors, rels, tails=tails)
+        gold_scores = scores[np.arange(len(q)), gold]
+        # masking the gold entity too is harmless: it never outranks itself
+        filt.mask(scores, anchors, rels)
+        ranks[s : s + CHUNK] = 1 + np.sum(scores > gold_scores[:, None], axis=1)
+    return ranks
 
 
 def ranks_numpy(
@@ -60,16 +48,14 @@ def ranks_numpy(
     split: str = "test",
     directions=DEFAULT_DIRECTIONS,
 ) -> np.ndarray:
-    """Filtered ranks (reference implementation)."""
-    by_hr, by_rt = data.filtered_targets()
+    """Filtered ranks in split order; per triple the tail rank, then
+    the head rank."""
     triples = getattr(data, split)
-    out = []
-    for h, r, t in triples:
-        if "tail" in directions:
-            out.append(_rank_one(model, h, r, t, by_hr, tails=True))
-        if "head" in directions:
-            out.append(_rank_one(model, h, r, t, by_rt, tails=False))
-    return np.array(out, dtype=np.int64)
+    per_direction = [
+        _filtered_ranks(model, triples, data.filters[d], tails=d == "tail")
+        for d in ("tail", "head") if d in directions
+    ]
+    return np.stack(per_direction, axis=1).ravel()
 
 
 def metrics_from_ranks(ranks: np.ndarray) -> Dict[str, float]:
@@ -88,40 +74,5 @@ def evaluate(
     split: str = "test",
     directions=DEFAULT_DIRECTIONS,
 ) -> Dict[str, float]:
-    """Driver-side filtered evaluation."""
+    """Filtered evaluation of one split."""
     return metrics_from_ranks(ranks_numpy(model, data, split, directions))
-
-
-def evaluate_spark(
-    spark: SparkSession,
-    model: KGEModel,
-    data: KGEDataset,
-    split: str = "test",
-    directions=DEFAULT_DIRECTIONS,
-) -> Dict[str, float]:
-    """Spark-distributed filtered evaluation (broadcast model + filter)."""
-    by_hr, by_rt = data.filtered_targets()
-    bc_model = spark.sparkContext.broadcast(model)
-    bc_hr = spark.sparkContext.broadcast(by_hr)
-    bc_rt = spark.sparkContext.broadcast(by_rt)
-
-    triples = getattr(data, split)
-    pdf = pd.DataFrame(triples, columns=["h", "r", "t"])
-    sdf = spark.createDataFrame(pdf).repartition(
-        max(2, spark.sparkContext.defaultParallelism)
-    )
-
-    def run(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-        m = bc_model.value
-        hr, rt = bc_hr.value, bc_rt.value
-        for b in batches:
-            ranks = []
-            for h, r, t in b[["h", "r", "t"]].itertuples(index=False):
-                if "tail" in directions:
-                    ranks.append(_rank_one(m, h, r, t, hr, tails=True))
-                if "head" in directions:
-                    ranks.append(_rank_one(m, h, r, t, rt, tails=False))
-            yield pd.DataFrame({"rank": ranks})
-
-    ranks = sdf.mapInPandas(run, RANK_SCHEMA).toPandas()["rank"].to_numpy()
-    return metrics_from_ranks(ranks)

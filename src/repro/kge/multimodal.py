@@ -24,8 +24,10 @@ from typing import List
 import numpy as np
 import pandas as pd
 
-from repro.kge.base import KGEModel, bce_loss_grad, sigmoid
+from repro.kge.base import Blocks, KGEModel, sigmoid, through
+from repro.kge.bilinear import Trilinear
 from repro.kge.data import KGEDataset
+from repro.kge.trans import Translational
 
 
 def _hash_vec(key: str, dim: int, seed: int) -> np.ndarray:
@@ -55,70 +57,31 @@ def synth_image_features(
     return X
 
 
-class _VisualMixin:
-    """Entity embedding = struct + (gated) projected visual feature."""
+class Visual(KGEModel):
+    """Entity embedding = free table E + visual feature projected by V."""
 
-    def _fused(self) -> np.ndarray:
-        E = self.params["E"] + self._visual_part()
-        return E
-
-    def _visual_part(self) -> np.ndarray:
-        raise NotImplementedError
-
-
-class TransAE(KGEModel, _VisualMixin):
-    """Wang et al. 2019: unified embedding via visual auto-encoding."""
-
-    name = "TransAE"
-
-    def __init__(self, n_ent, n_rel, img: np.ndarray, dim=32, seed=0, lr=0.1, margin=1.0):
+    def __init__(self, n_ent, n_rel, img: np.ndarray, dim=32, seed=0, lr=0.1):
         super().__init__(n_ent, n_rel, dim, seed, lr)
-        self.margin = margin
         self.img = img
         self.add_param("E", (n_ent, dim))
         self.add_param("R", (n_rel, dim))
         self.add_param("V", (img.shape[1], dim))
 
-    def _visual_part(self) -> np.ndarray:
-        return self.img @ self.params["V"]
+    def entity_embeddings(self) -> np.ndarray:
+        return self.params["E"] + self.img @ self.params["V"]
 
-    def score_triples(self, tr: np.ndarray) -> np.ndarray:
-        E = self._fused()
-        u = E[tr[:, 0]] + self.params["R"][tr[:, 1]] - E[tr[:, 2]]
-        return -np.einsum("ij,ij->i", u, u)
+    def entity_grads(self, blocks: Blocks) -> None:
+        super().entity_grads(blocks)
+        self.visual_grads(blocks)
 
-    def train_step(self, pos: np.ndarray, neg: np.ndarray) -> float:
-        k = len(neg) // len(pos)
-        p = np.repeat(pos, k, axis=0)
-        E = self._fused()
-        R = self.params["R"]
-        up = E[p[:, 0]] + R[p[:, 1]] - E[p[:, 2]]
-        un = E[neg[:, 0]] + R[neg[:, 1]] - E[neg[:, 2]]
-        viol = self.margin + np.einsum("ij,ij->i", up, up) - np.einsum("ij,ij->i", un, un)
-        act = viol > 0
-        if not act.any():
-            return 0.0
-        pa, na, upa, una = p[act], neg[act], up[act], un[act]
-        self.sparse_update("E", np.concatenate([pa[:, 0], na[:, 2]]),
-                           2 * np.concatenate([upa, una]))
-        self.sparse_update("E", np.concatenate([pa[:, 2], na[:, 0]]),
-                           -2 * np.concatenate([upa, una]))
-        self.sparse_update("R", np.concatenate([pa[:, 1], na[:, 1]]),
-                           2 * np.concatenate([upa, -una]))
-        gV = (
-            self.img[pa[:, 0]].T @ (2 * upa)
-            + self.img[pa[:, 2]].T @ (-2 * upa)
-            + self.img[na[:, 0]].T @ (-2 * una)
-            + self.img[na[:, 2]].T @ (2 * una)
-        )
-        self.dense_update("V", gV)
-        return float(viol[act].sum())
+    def visual_grads(self, blocks: Blocks) -> None:
+        self.dense_update("V", through(self.img, blocks))
 
-    def score_candidates(self, h: int, r: int, tails: bool = True) -> np.ndarray:
-        E = self._fused()
-        rv = self.params["R"][r]
-        diff = (E[h] + rv)[None, :] - E if tails else E + rv[None, :] - E[h][None, :]
-        return -np.einsum("ij,ij->i", diff, diff)
+
+class TransAE(Visual, Translational):
+    """Wang et al. 2019: unified embedding via visual auto-encoding."""
+
+    name = "TransAE"
 
 
 class RSME(TransAE):
@@ -131,86 +94,24 @@ class RSME(TransAE):
         super().__init__(*a, **kw)
         self.add_param("G", (self.dim,), scale=0.5)
 
-    def _visual_part(self) -> np.ndarray:
-        return sigmoid(self.params["G"])[None, :] * (self.img @ self.params["V"])
+    def entity_embeddings(self) -> np.ndarray:
+        return self.params["E"] + sigmoid(self.params["G"])[None, :] * (self.img @ self.params["V"])
 
-    def train_step(self, pos: np.ndarray, neg: np.ndarray) -> float:
-        # gate gradient via finite shared chain: reuse TransAE updates on
-        # V (scaled through the gate) and nudge G by its analytic grad.
-        k = len(neg) // len(pos)
-        p = np.repeat(pos, k, axis=0)
+    def visual_grads(self, blocks: Blocks) -> None:
+        # V's gradient passes through the gate; G is nudged by its
+        # analytic gradient, read at the V just updated.
         g = sigmoid(self.params["G"])
-        E = self._fused()
-        R = self.params["R"]
-        up = E[p[:, 0]] + R[p[:, 1]] - E[p[:, 2]]
-        un = E[neg[:, 0]] + R[neg[:, 1]] - E[neg[:, 2]]
-        viol = self.margin + np.einsum("ij,ij->i", up, up) - np.einsum("ij,ij->i", un, un)
-        act = viol > 0
-        if not act.any():
-            return 0.0
-        pa, na, upa, una = p[act], neg[act], up[act], un[act]
-        self.sparse_update("E", np.concatenate([pa[:, 0], na[:, 2]]),
-                           2 * np.concatenate([upa, una]))
-        self.sparse_update("E", np.concatenate([pa[:, 2], na[:, 0]]),
-                           -2 * np.concatenate([upa, una]))
-        self.sparse_update("R", np.concatenate([pa[:, 1], na[:, 1]]),
-                           2 * np.concatenate([upa, -una]))
-        gV = (
-            self.img[pa[:, 0]].T @ (2 * upa)
-            + self.img[pa[:, 2]].T @ (-2 * upa)
-            + self.img[na[:, 0]].T @ (-2 * una)
-            + self.img[na[:, 2]].T @ (2 * una)
-        ) * g[None, :]
-        self.dense_update("V", gV)
+        self.dense_update("V", through(self.img, blocks) * g[None, :])
         P = self.img @ self.params["V"]
-        gG_raw = (
-            np.sum((P[pa[:, 0]] - P[pa[:, 2]]) * (2 * upa), axis=0)
-            + np.sum((P[na[:, 0]] - P[na[:, 2]]) * (-2 * una), axis=0)
-        )
+        (hp, g_p), (tp, _), (hn, g_n), (tn, _) = blocks
+        gG_raw = np.sum((P[hp] - P[tp]) * g_p, axis=0) + np.sum((P[hn] - P[tn]) * g_n, axis=0)
         self.dense_update("G", gG_raw * g * (1 - g))
-        return float(viol[act].sum())
 
 
-class MKGformerLite(KGEModel, _VisualMixin):
+class MKGformerLite(Visual, Trilinear):
     """Chen et al. 2022 (lite): bilinear scoring over fused embeddings."""
 
     name = "MKGformer"
-
-    def __init__(self, n_ent, n_rel, img: np.ndarray, dim=32, seed=0, lr=0.1):
-        super().__init__(n_ent, n_rel, dim, seed, lr)
-        self.img = img
-        self.add_param("E", (n_ent, dim))
-        self.add_param("R", (n_rel, dim))
-        self.add_param("V", (img.shape[1], dim))
-
-    def _visual_part(self) -> np.ndarray:
-        return self.img @ self.params["V"]
-
-    def score_triples(self, tr: np.ndarray) -> np.ndarray:
-        E = self._fused()
-        return np.einsum(
-            "ij,ij,ij->i", E[tr[:, 0]], self.params["R"][tr[:, 1]], E[tr[:, 2]]
-        )
-
-    def train_step(self, pos: np.ndarray, neg: np.ndarray) -> float:
-        tr = np.concatenate([pos, neg])
-        labels = np.concatenate([np.ones(len(pos)), np.zeros(len(neg))])
-        E = self._fused()
-        R = self.params["R"]
-        h, r, t = E[tr[:, 0]], R[tr[:, 1]], E[tr[:, 2]]
-        loss, g = bce_loss_grad(np.einsum("ij,ij,ij->i", h, r, t), labels)
-        g = g[:, None]
-        gh, gt = g * r * t, g * r * h
-        self.sparse_update("E", tr[:, 0], gh)
-        self.sparse_update("E", tr[:, 2], gt)
-        self.sparse_update("R", tr[:, 1], g * h * t)
-        gV = self.img[tr[:, 0]].T @ gh + self.img[tr[:, 2]].T @ gt
-        self.dense_update("V", gV)
-        return loss
-
-    def score_candidates(self, h: int, r: int, tails: bool = True) -> np.ndarray:
-        E = self._fused()
-        return E @ (E[h] * self.params["R"][r])
 
 
 def image_features_for_dataset(data: KGEDataset, kg, dim: int = 16) -> np.ndarray:

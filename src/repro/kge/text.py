@@ -24,7 +24,9 @@ from typing import Dict, List
 
 import numpy as np
 
-from repro.kge.base import KGEModel, bce_loss_grad
+from repro.kge.base import Blocks, KGEModel, through
+from repro.kge.bilinear import Trilinear
+from repro.kge.trans import Translational
 
 
 def hash_text_features(texts: List[str], dim: int = 256, seed: int = 13) -> np.ndarray:
@@ -59,55 +61,18 @@ class TextKGE(KGEModel):
     def entity_embeddings(self) -> np.ndarray:
         return self.X @ self.params["P"]
 
+    def entity_grads(self, blocks: Blocks) -> None:
+        # grads w.r.t. P flow through every entity occurrence
+        self.dense_update("P", through(self.X, blocks))
 
-class KGBERTSim(TextKGE):
+
+class KGBERTSim(TextKGE, Translational):
     """Translational scoring over projected text: -||f(h) + r − f(t)||²."""
 
     name = "KG-BERT"
 
-    def __init__(self, *a, margin: float = 1.0, **kw):
-        super().__init__(*a, **kw)
-        self.margin = margin
 
-    def score_triples(self, tr: np.ndarray) -> np.ndarray:
-        E = self.entity_embeddings()
-        u = E[tr[:, 0]] + self.params["R"][tr[:, 1]] - E[tr[:, 2]]
-        return -np.einsum("ij,ij->i", u, u)
-
-    def train_step(self, pos: np.ndarray, neg: np.ndarray) -> float:
-        k = len(neg) // len(pos)
-        p = np.repeat(pos, k, axis=0)
-        E = self.entity_embeddings()
-        R = self.params["R"]
-        up = E[p[:, 0]] + R[p[:, 1]] - E[p[:, 2]]
-        un = E[neg[:, 0]] + R[neg[:, 1]] - E[neg[:, 2]]
-        dp = np.einsum("ij,ij->i", up, up)
-        dn = np.einsum("ij,ij->i", un, un)
-        viol = self.margin + dp - dn
-        act = viol > 0
-        if not act.any():
-            return 0.0
-        pa, na, upa, una = p[act], neg[act], up[act], un[act]
-        # grads w.r.t. P flow through every entity occurrence
-        gP = (
-            self.X[pa[:, 0]].T @ (2 * upa)
-            + self.X[pa[:, 2]].T @ (-2 * upa)
-            + self.X[na[:, 0]].T @ (-2 * una)
-            + self.X[na[:, 2]].T @ (2 * una)
-        )
-        self.dense_update("P", gP)
-        self.sparse_update("R", np.concatenate([pa[:, 1], na[:, 1]]),
-                           np.concatenate([2 * upa, -2 * una]))
-        return float(viol[act].sum())
-
-    def score_candidates(self, h: int, r: int, tails: bool = True) -> np.ndarray:
-        E = self.entity_embeddings()
-        rv = self.params["R"][r]
-        diff = (E[h] + rv)[None, :] - E if tails else E + rv[None, :] - E[h][None, :]
-        return -np.einsum("ij,ij->i", diff, diff)
-
-
-class StARSim(TextKGE):
+class StARSim(TextKGE, Trilinear):
     """Siamese scoring: (f(h) ∘ g_r) · f(t), BCE-trained.
 
     The elementwise-product score needs a hotter learning rate than the
@@ -119,28 +84,6 @@ class StARSim(TextKGE):
 
     def __init__(self, *a, lr: float = 0.5, **kw):
         super().__init__(*a, lr=lr, **kw)
-
-    def score_triples(self, tr: np.ndarray) -> np.ndarray:
-        E = self.entity_embeddings()
-        R = self.params["R"]
-        return np.einsum("ij,ij,ij->i", E[tr[:, 0]], R[tr[:, 1]], E[tr[:, 2]])
-
-    def train_step(self, pos: np.ndarray, neg: np.ndarray) -> float:
-        tr = np.concatenate([pos, neg])
-        labels = np.concatenate([np.ones(len(pos)), np.zeros(len(neg))])
-        E = self.entity_embeddings()
-        R = self.params["R"]
-        h, r, t = E[tr[:, 0]], R[tr[:, 1]], E[tr[:, 2]]
-        loss, g = bce_loss_grad(np.einsum("ij,ij,ij->i", h, r, t), labels)
-        g = g[:, None]
-        gP = self.X[tr[:, 0]].T @ (g * r * t) + self.X[tr[:, 2]].T @ (g * r * h)
-        self.dense_update("P", gP)
-        self.sparse_update("R", tr[:, 1], g * h * t)
-        return loss
-
-    def score_candidates(self, h: int, r: int, tails: bool = True) -> np.ndarray:
-        E = self.entity_embeddings()
-        return E @ (E[h] * self.params["R"][r])
 
 
 class GenKGCSim(TextKGE):
@@ -154,10 +97,17 @@ class GenKGCSim(TextKGE):
 
     name = "GenKGC"
 
-    def score_triples(self, tr: np.ndarray) -> np.ndarray:
-        E = self.entity_embeddings()
+    def score_triples(self, tr: np.ndarray, E=None) -> np.ndarray:
+        E = self.entity_embeddings() if E is None else E
         q = E[tr[:, 0]] + self.params["R"][tr[:, 1]]
         return np.einsum("ij,ij->i", q, E[tr[:, 2]])
+
+    def score_all(self, anchors, rels, tails: bool = True) -> np.ndarray:
+        E, R = self.entity_embeddings(), self.params["R"]
+        return np.array([
+            E @ (E[a] + R[r]) if tails else (E + R[r][None, :]) @ E[a]
+            for a, r in zip(anchors, rels)
+        ])
 
     def train_step(self, pos: np.ndarray, neg: np.ndarray) -> float:
         k = len(neg) // len(pos)
@@ -182,12 +132,6 @@ class GenKGCSim(TextKGE):
         self.dense_update("P", gP)
         self.sparse_update("R", pos[:, 1], g_q)
         return loss
-
-    def score_candidates(self, h: int, r: int, tails: bool = True) -> np.ndarray:
-        E = self.entity_embeddings()
-        if tails:
-            return E @ (E[h] + self.params["R"][r])
-        return (E + self.params["R"][r][None, :]) @ E[h]
 
 
 def entity_texts_for(dataset_entities: List[str], label_lut: Dict[str, str]) -> List[str]:

@@ -1,17 +1,15 @@
 """Shared machinery for the KGE tables (III and IV)."""
 from __future__ import annotations
 
-import time
 from typing import Callable, Dict, Optional
 
 import pandas as pd
-from pyspark.sql import SparkSession
 
 from repro.benchmark.build import Benchmark
 from repro.construction.assemble import OpenBG
 from repro.kge.bilinear import ComplEx, DistMult
 from repro.kge.data import KGEDataset
-from repro.kge.evaluate import evaluate_spark
+from repro.kge.evaluate import evaluate
 from repro.kge.multimodal import (
     MKGformerLite,
     RSME,
@@ -67,7 +65,6 @@ def multimodal_factories(data: KGEDataset, kg: OpenBG) -> Dict[str, Callable]:
 
 
 def run_models(
-    spark: SparkSession,
     bench: Benchmark,
     kg: OpenBG,
     model_names: list,
@@ -88,21 +85,9 @@ def run_models(
 
     rows = []
     for name in model_names:
-        t0 = time.time()
         model = factories[name](data.n_ent, data.n_rel, dim, seed)
         model.fit(data, **budget)
-        metrics = evaluate_spark(spark, model, data, split="test")
-        rows.append(
-            {
-                "model": name,
-                "hits1": metrics["hits1"],
-                "hits3": metrics["hits3"],
-                "hits10": metrics["hits10"],
-                "mr": metrics["mr"],
-                "mrr": metrics["mrr"],
-                "seconds": round(time.time() - t0, 1),
-            }
-        )
+        rows.append({"model": name, **evaluate(model, data, split="test")})
     return pd.DataFrame(rows)
 
 

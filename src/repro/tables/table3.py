@@ -39,5 +39,5 @@ def run(
     """
     kg = ctx.world(cfg)
     bench = ctx.benchmarks(cfg, boost=boost)["OpenBG-IMG"]
-    measured = run_models(ctx.spark, bench, kg, SINGLE_MODAL + MULTI_MODAL)
+    measured = run_models(bench, kg, SINGLE_MODAL + MULTI_MODAL)
     return merge_with_paper(measured, PAPER)

@@ -47,7 +47,7 @@ def run(
         ("OpenBG500", MODELS_500, PAPER_500),
         ("OpenBG500-L", MODELS_500L, PAPER_500L),
     ):
-        measured = run_models(ctx.spark, benches[name], kg, models)
+        measured = run_models(benches[name], kg, models)
         merged = merge_with_paper(measured, paper)
         merged.insert(0, "dataset", name)
         out.append(merged)

@@ -69,11 +69,15 @@ def test_text_models_learn_toy(Model):
     assert res["mr"] < data.n_ent / 2, res
 
 
-@pytest.mark.parametrize("Model", TEXT_MODELS)
+@pytest.mark.parametrize("Model", TEXT_MODELS + [TransAE, RSME, MKGformerLite])
 @pytest.mark.parametrize("tails", [True, False])
 def test_text_score_candidates_consistent(Model, tails):
     data = _toy_dataset()
-    X = hash_text_features(data.entities, dim=64)
+    if Model in TEXT_MODELS:
+        X = hash_text_features(data.entities, dim=64)
+    else:
+        cat = pd.Series({e: f"cat:{int(e[1:]) % 4}" for e in data.entities})
+        X = synth_image_features(data.entities, cat, dim=8)
     m = Model(data.n_ent, data.n_rel, X, dim=8, seed=2)
     fast = m.score_candidates(3, 1, tails=tails)
     cand = np.arange(data.n_ent, dtype=np.int32)
