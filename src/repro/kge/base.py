@@ -21,13 +21,25 @@ A model states its score once and inherits training and ranking:
   ``entity_grads``, which each way of building that matrix (free table,
   text projection, visual fusion) implements once.
 
+``entity_embeddings()`` is memoised where it is computed (text
+projection, visual fusion; see :func:`per_param_state`): ``params`` is
+a :class:`Params` dict whose ``version`` grows on every assignment of
+an entry and every ``sparse_update`` / ``dense_update``, and those are
+the only ways a memoising model changes its parameters.  Ranking and
+``score_candidates`` calls between two updates reuse one matrix; a
+training step still computes it once, since the previous step's updates
+moved the version.  (TransE/H/D renormalise rows in place after an
+update, but their entity matrix is ``params["E"]`` itself, never a
+memoised copy.)
+
 The shared ``fit`` loop does deterministic shuffling, negative sampling
 and batching — mirroring the paper's training setup (AdaGrad/SGD,
 negative sampling, dim 200 at paper scale; dim ≤ 64 here).
 """
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+import functools
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -35,6 +47,32 @@ from repro.kge.data import KGEDataset, negative_sample
 
 #: (entity indices, dL/d entity_embeddings()[indices]) pairs
 Blocks = List[Tuple[np.ndarray, np.ndarray]]
+
+
+class Params(dict):
+    """Parameter arrays by name; ``version`` counts assignments of an
+    entry and AdaGrad updates (bumped by the update methods)."""
+
+    version = 0
+
+    def __setitem__(self, name: str, value: np.ndarray) -> None:
+        super().__setitem__(name, value)
+        self.version += 1
+
+
+def per_param_state(embed: Callable[["KGEModel"], np.ndarray]):
+    """Memoise an ``entity_embeddings`` method until ``params`` moves.
+
+    Every caller gets the same array, so none may write to it.
+    """
+
+    @functools.wraps(embed)
+    def memoised(self: "KGEModel") -> np.ndarray:
+        if self._memo[0] != self.params.version:
+            self._memo = (self.params.version, embed(self))
+        return self._memo[1]
+
+    return memoised
 
 
 class KGEModel:
@@ -45,8 +83,9 @@ class KGEModel:
     def __init__(self, n_ent: int, n_rel: int, dim: int = 32, seed: int = 0, lr: float = 0.1):
         self.n_ent, self.n_rel, self.dim, self.lr = n_ent, n_rel, dim, lr
         self.rng = np.random.default_rng(seed)
-        self.params: Dict[str, np.ndarray] = {}
+        self.params = Params()
         self._acc: Dict[str, np.ndarray] = {}
+        self._memo: Tuple[int, Optional[np.ndarray]] = (-1, None)
 
     # ---- parameter helpers ------------------------------------------------
     def add_param(self, name: str, shape, scale: Optional[float] = None) -> None:
@@ -59,11 +98,13 @@ class KGEModel:
         acc, p = self._acc[name], self.params[name]
         np.add.at(acc, idx, grad**2)
         np.add.at(p, idx, -self.lr * grad / np.sqrt(acc[idx]))
+        self.params.version += 1
 
     def dense_update(self, name: str, grad: np.ndarray) -> None:
         acc, p = self._acc[name], self.params[name]
         acc += grad**2
         p -= self.lr * grad / np.sqrt(acc)
+        self.params.version += 1
 
     def entity_grads(self, blocks: Blocks) -> None:
         """Backpropagate entity-row gradients into the free table E."""
@@ -107,7 +148,7 @@ class KGEModel:
             total = 0.0
             for s in range(0, len(train), batch_size):
                 pos = train[order[s : s + batch_size]]
-                neg = negative_sample(pos, self.n_ent, neg_k, self.rng, data.known)
+                neg = negative_sample(pos, self.n_ent, neg_k, self.rng, data.known_keys)
                 total += self.train_step(pos, neg)
             if verbose:
                 print(f"[{self.name}] epoch {ep} loss {total:.3f}")

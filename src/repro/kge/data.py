@@ -50,6 +50,8 @@ class KGEDataset:
     across all splits — the *filtered* evaluation protocol removes these
     from candidate rankings, through ``filters["tail"]`` (known tails of
     each (h, r)) and ``filters["head"]`` (known heads of each (t, r)).
+    ``known_keys`` is the same set as sorted :func:`triple_keys`, which
+    negative sampling tests whole batches against.
     """
 
     entities: List[str]
@@ -60,6 +62,7 @@ class KGEDataset:
     ent_idx: Dict[str, int]
     rel_idx: Dict[str, int]
     known: Set[Tuple[int, int, int]]
+    known_keys: np.ndarray
     filters: Dict[str, KnownTargets]
 
     @property
@@ -98,24 +101,35 @@ class KGEDataset:
         tr, dv, te = enc(train), enc(dev), enc(test)
         every = np.concatenate([tr, dv, te])
         known = {tuple(row) for row in every.tolist()}
+        known_keys = np.unique(triple_keys(every, len(entities)))
         h, r, t = every.T
         filters = {"tail": KnownTargets.build(h, r, t, len(relations)),
                    "head": KnownTargets.build(t, r, h, len(relations))}
-        return cls(entities, relations, tr, dv, te, ent_idx, rel_idx, known, filters)
+        return cls(entities, relations, tr, dv, te, ent_idx, rel_idx, known, known_keys,
+                   filters)
 
     @classmethod
     def from_benchmark(cls, bench: Benchmark) -> "KGEDataset":
         return cls.from_frames(bench.train_pdf, bench.dev_pdf, bench.test_pdf)
 
 
+def triple_keys(tr: np.ndarray, n_ent: int) -> np.ndarray:
+    """One int64 per (h, r, t) row: (r·n_ent + h)·n_ent + t."""
+    return (tr[:, 1].astype(np.int64) * n_ent + tr[:, 0]) * n_ent + tr[:, 2]
+
+
 def negative_sample(
     pos: np.ndarray, n_ent: int, k: int, rng: np.random.Generator,
-    known: Optional[Set[Tuple[int, int, int]]] = None,
+    known: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """k negatives per positive by corrupting head or tail (50/50).
 
-    With ``known`` given, corruptions that collide with true triples are
-    re-drawn once (best-effort filtering — standard practice).
+    With ``known`` given (the sorted :func:`triple_keys` of the true
+    triples, ``KGEDataset.known_keys``), corruptions that collide with a
+    true triple are re-drawn once (best-effort filtering — standard
+    practice).  The whole batch is tested with one binary search; the
+    re-draws are scalar draws in row order, so the generator's stream
+    and every negative are those of a row-by-row loop.
     """
     n = len(pos)
     neg = np.repeat(pos, k, axis=0)
@@ -124,8 +138,8 @@ def negative_sample(
     neg[corrupt_tail, 2] = repl[corrupt_tail]
     neg[~corrupt_tail, 0] = repl[~corrupt_tail]
     if known is not None:
-        for i in range(len(neg)):
-            if tuple(neg[i]) in known:
-                col = 2 if corrupt_tail[i] else 0
-                neg[i, col] = rng.integers(0, n_ent)
+        q = triple_keys(neg, n_ent)
+        hits = np.searchsorted(known, q, "right") > np.searchsorted(known, q, "left")
+        for i in np.flatnonzero(hits):
+            neg[i, 2 if corrupt_tail[i] else 0] = rng.integers(0, n_ent)
     return neg

@@ -24,7 +24,7 @@ from typing import List
 import numpy as np
 import pandas as pd
 
-from repro.kge.base import Blocks, KGEModel, sigmoid, through
+from repro.kge.base import Blocks, KGEModel, per_param_state, sigmoid, through
 from repro.kge.bilinear import Trilinear
 from repro.kge.data import KGEDataset
 from repro.kge.trans import Translational
@@ -67,6 +67,7 @@ class Visual(KGEModel):
         self.add_param("R", (n_rel, dim))
         self.add_param("V", (img.shape[1], dim))
 
+    @per_param_state
     def entity_embeddings(self) -> np.ndarray:
         return self.params["E"] + self.img @ self.params["V"]
 
@@ -94,6 +95,7 @@ class RSME(TransAE):
         super().__init__(*a, **kw)
         self.add_param("G", (self.dim,), scale=0.5)
 
+    @per_param_state
     def entity_embeddings(self) -> np.ndarray:
         return self.params["E"] + sigmoid(self.params["G"])[None, :] * (self.img @ self.params["V"])
 

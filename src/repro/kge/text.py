@@ -24,7 +24,7 @@ from typing import Dict, List
 
 import numpy as np
 
-from repro.kge.base import Blocks, KGEModel, through
+from repro.kge.base import Blocks, KGEModel, per_param_state, through
 from repro.kge.bilinear import Trilinear
 from repro.kge.trans import Translational
 
@@ -58,6 +58,7 @@ class TextKGE(KGEModel):
         self.add_param("P", (text_features.shape[1], dim))
         self.add_param("R", (n_rel, dim))
 
+    @per_param_state
     def entity_embeddings(self) -> np.ndarray:
         return self.X @ self.params["P"]
 
