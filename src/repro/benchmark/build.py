@@ -104,9 +104,6 @@ class Benchmark:
             [self.train_pdf, self.dev_pdf, self.test_pdf], ignore_index=True
         )
 
-    def all_triples(self) -> DataFrame:
-        return self.spark.createDataFrame(self.all_pdf(), schema=SPLIT_SCHEMA)
-
     def entities(self) -> List[str]:
         a = self.all_pdf()
         return sorted(set(a["h"]) | set(a["t"]))

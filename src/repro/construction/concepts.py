@@ -27,6 +27,7 @@ from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql.types import StringType, StructField, StructType
 
 from repro.core.config import CONCEPT_TYPES, ScaledConfig
+from repro.construction.lexicon import Lexicon
 from repro.construction.tagger import PerceptronTagger, span_prf
 from repro.corpus.products import RawCatalog
 from repro.ontology.model import Ontology
@@ -77,11 +78,7 @@ def train_concept_tagger(
 
 def concept_label_lexicon(onto: Ontology) -> Dict[str, str]:
     """surface label → concept node id, over all concept taxonomies."""
-    lut: Dict[str, str] = {}
-    for tax in onto.concept_taxonomies.values():
-        for nid, label in tax.nodes[["node_id", "label"]].itertuples(index=False):
-            lut[label] = nid
-    return lut
+    return Lexicon.of(onto).concept_label_node
 
 
 def extract_concept_links(

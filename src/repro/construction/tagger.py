@@ -13,8 +13,9 @@ dict, so scoring a token is a handful of row gathers + one vector sum
 instead of |features|·|tags| dict lookups — the difference between
 seconds and hours at experiment scale.
 
-Also home to the BIO span utilities and span-level P/R/F used both by
-the construction pipeline and by the NER downstream task (Tables V/VII).
+Also home to the BIO span utilities and the one micro P/R/F, used by
+the construction pipeline and by the NER and IE downstream tasks
+(spans and triples; Tables V/VII).
 """
 from __future__ import annotations
 
@@ -217,13 +218,11 @@ def bio_spans(tags: Sequence[str]) -> Set[Tuple[int, int, str]]:
     return spans
 
 
-def span_prf(
-    gold: Iterable[Sequence[str]], pred: Iterable[Sequence[str]]
-) -> Tuple[float, float, float]:
-    """Micro-averaged span-level precision/recall/F1 over sentences."""
+def micro_prf(gold: Iterable[Set], pred: Iterable[Set]) -> Tuple[float, float, float]:
+    """Micro-averaged precision/recall/F1 of predicted against gold item
+    sets (spans, triples, …), counted over all examples."""
     tp = fp = fn = 0
-    for g, p in zip(gold, pred):
-        gs, ps = bio_spans(g), bio_spans(p)
+    for gs, ps in zip(gold, pred):
         tp += len(gs & ps)
         fp += len(ps - gs)
         fn += len(gs - ps)
@@ -231,3 +230,10 @@ def span_prf(
     rec = tp / (tp + fn) if tp + fn else 0.0
     f1 = 2 * prec * rec / (prec + rec) if prec + rec else 0.0
     return prec, rec, f1
+
+
+def span_prf(
+    gold: Iterable[Sequence[str]], pred: Iterable[Sequence[str]]
+) -> Tuple[float, float, float]:
+    """Micro-averaged span-level precision/recall/F1 over sentences."""
+    return micro_prf(map(bio_spans, gold), map(bio_spans, pred))

@@ -112,7 +112,6 @@ NAMED_DATA_PROPERTIES = (
 # Entity id prefixes
 # ---------------------------------------------------------------------------
 PRODUCT_PREFIX = "prod:"
-ITEM_PREFIX = "item:"
 #: Taxonomy node prefix per root type (Category → ``cat:``, ...).
 TAXONOMY_PREFIX = {
     "Category": "cat:",
@@ -133,10 +132,6 @@ def taxonomy_node_id(root: str, level: int, idx: int) -> str:
 
 def product_id(i: int) -> str:
     return f"{PRODUCT_PREFIX}{i:07d}"
-
-
-def item_id(i: int) -> str:
-    return f"{ITEM_PREFIX}{i:08d}"
 
 
 def inmarket_rel(i: int) -> str:

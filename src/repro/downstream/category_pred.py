@@ -19,8 +19,9 @@ import numpy as np
 import pandas as pd
 
 from repro.construction.assemble import OpenBG
-from repro.downstream.classifier import SoftmaxClassifier
 from repro.corpus.vocab import NOISE_TOKENS
+from repro.downstream import train_valid_split
+from repro.downstream.classifier import SoftmaxClassifier
 from repro.pretrain.model import FoundationModel
 
 
@@ -29,7 +30,7 @@ def build_dataset(
 ) -> pd.DataFrame:
     """(tokens, category) item rows; deterministic."""
     g = np.random.default_rng(seed)
-    cat_label = kg.onto.taxonomies["Category"].nodes.set_index("node_id")["label"]
+    cat_label = kg.onto.taxonomies["Category"].label_of()
     rows = []
     for pid, category, title in kg.catalog.products[
         ["product_id", "category", "title"]
@@ -51,13 +52,6 @@ def build_dataset(
     return pd.DataFrame(rows)
 
 
-def _split(df: pd.DataFrame, seed: int = 1) -> Tuple[pd.DataFrame, pd.DataFrame]:
-    """Deterministic 8:2 split (paper's ratio)."""
-    g = np.random.default_rng(seed)
-    mask = g.random(len(df)) < 0.8
-    return df[mask].reset_index(drop=True), df[~mask].reset_index(drop=True)
-
-
 def _featurize(
     model: FoundationModel, df: pd.DataFrame, categories: List[str]
 ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
@@ -73,11 +67,10 @@ def _featurize(
     return X, priors
 
 
-def k_shot_subsample(
-    train: pd.DataFrame, k: int, seed: int = 3
-) -> pd.DataFrame:
-    """k examples per category (Table VI's 1-/5-shot protocol)."""
-    g = np.random.default_rng(seed)
+def k_shot_subsample(train: pd.DataFrame, k: int) -> pd.DataFrame:
+    """k examples per category (Table VI's 1-/5-shot protocol), drawn
+    with a fixed seed."""
+    g = np.random.default_rng(3)
     parts = []
     for _, grp in train.groupby("category"):
         take = min(k, len(grp))
@@ -97,7 +90,7 @@ def run_category_prediction(
         dataset = build_dataset(kg)
     categories = sorted(dataset["category"].unique())
     cat_idx = {c: i for i, c in enumerate(categories)}
-    train, valid = _split(dataset)
+    train, valid = train_valid_split(dataset)
     if k_shot is not None:
         train = k_shot_subsample(train, k_shot)
     y_tr = train["category"].map(cat_idx).to_numpy()

@@ -10,14 +10,14 @@ left and the nearest OP on its right.
 """
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Sequence, Set, Tuple
 
-import numpy as np
 import pandas as pd
 
 from repro.construction.assemble import OpenBG
-from repro.construction.tagger import PerceptronTagger, token_features
+from repro.construction.tagger import PerceptronTagger, micro_prf, token_features
 from repro.corpus.reviews import REVIEW_PROPERTIES
+from repro.downstream import train_valid_split
 from repro.pretrain.model import FoundationModel
 
 ROLE_TAGS = ["O", "B-ASP", "B-PROP", "B-OP"]
@@ -95,24 +95,8 @@ class IEFeatures:
         return feats
 
 
-def _split(df: pd.DataFrame, seed: int = 1):
-    g = np.random.default_rng(seed)
-    mask = g.random(len(df)) < 0.8
-    return df[mask].reset_index(drop=True), df[~mask].reset_index(drop=True)
-
-
-def triple_prf(
-    gold_sets: List[Set[Triple]], pred_sets: List[Set[Triple]]
-) -> Tuple[float, float, float]:
-    tp = fp = fn = 0
-    for gs, ps in zip(gold_sets, pred_sets):
-        tp += len(gs & ps)
-        fp += len(ps - gs)
-        fn += len(gs - ps)
-    p = tp / (tp + fp) if tp + fp else 0.0
-    r = tp / (tp + fn) if tp + fn else 0.0
-    f = 2 * p * r / (p + r) if p + r else 0.0
-    return p, r, f
+#: Micro P/R/F over per-review triple sets.
+triple_prf = micro_prf
 
 
 def run_ie(
@@ -122,7 +106,7 @@ def run_ie(
     epochs: int = 5,
 ) -> Dict[str, Tuple[float, float, float]]:
     """(P, R, F) per model variant on held-out reviews."""
-    train, valid = _split(reviews)
+    train, valid = train_valid_split(reviews)
 
     def prep(df):
         toks = [t.split() for t in df["text"]]

@@ -17,37 +17,30 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.construction.assemble import OpenBG
+from repro.construction.lexicon import Lexicon
 from repro.construction.tagger import PerceptronTagger, span_prf, token_features
-from repro.corpus.vocab import build_surface_forms
+from repro.downstream import train_valid_split
 from repro.pretrain.model import FoundationModel
 
 Sentence = Tuple[List[str], List[str]]  # tokens, BIO tags
 
 
 def build_ner_dataset(kg: OpenBG) -> List[Sentence]:
-    """Titles + fine-grained BIO tags from the generator's lookups."""
-    forms = build_surface_forms(kg.onto)
-    value_attr = {v: r for r, vals in forms.attr_values.items() for v in vals}
-    brand_tokens = set(forms.brand_forms["surface"])
-    concept_root = {}
-    for root, tax in kg.onto.concept_taxonomies.items():
-        for label in tax.nodes["label"]:
-            concept_root[label] = root
-    cat_labels = set(kg.onto.taxonomies["Category"].nodes["label"])
-
+    """Titles + fine-grained BIO tags from the ontology's lexicon."""
+    lex = Lexicon.of(kg.onto)
     out: List[Sentence] = []
     for title in kg.catalog.products["title"]:
         toks = title.split()
         tags = []
         for t in toks:
-            if t in value_attr:
-                tags.append(f"B-{value_attr[t]}")
-            elif t in brand_tokens:
+            if t in lex.value_to_attr:
+                tags.append(f"B-{lex.value_to_attr[t]}")
+            elif t in lex.brand_tokens:
                 tags.append("B-brand")
-            elif t in cat_labels:
+            elif t in lex.category_labels:
                 tags.append("B-category")
-            elif t in concept_root:
-                tags.append(f"B-{concept_root[t]}")
+            elif t in lex.concept_label_root:
+                tags.append(f"B-{lex.concept_label_root[t]}")
             else:
                 tags.append("O")
         out.append((toks, tags))
@@ -90,21 +83,18 @@ class VariantFeatures:
         return feats
 
 
-def _split(data: List[Sentence], seed: int = 1):
-    g = np.random.default_rng(seed)
-    mask = g.random(len(data)) < 0.8
-    train = [s for s, m in zip(data, mask) if m]
-    valid = [s for s, m in zip(data, mask) if not m]
-    return train, valid
+def k_shot_subsample(train: List[Sentence], k: int) -> List[Sentence]:
+    """Greedy k-shot cover (Table VII's protocol): scan a seeded shuffle
+    of ``train`` and keep a sentence if any of its entity types is in
+    fewer than k kept sentences so far — Few-NERD's greedy sampling (Ding
+    et al., ACL 2021) without its 2k upper bound.
 
-
-def k_shot_subsample(
-    train: List[Sentence], k: int, seed: int = 3
-) -> List[Sentence]:
-    """≤k sentences per entity type (Table VII's protocol): scan a
-    deterministic shuffle, keeping a sentence while it covers a type
-    still under quota."""
-    g = np.random.default_rng(seed)
+    Every type then appears in at least min(k, its train count) kept
+    sentences.  It is not a ≤ k cap: a kept sentence brings all its
+    types along, so frequent types appear in far more than k (``category``,
+    tagged in every title, in every kept sentence).
+    """
+    g = np.random.default_rng(3)
     order = g.permutation(len(train))
     quota: Dict[str, int] = {}
     picked = []
@@ -128,7 +118,7 @@ def run_ner(
     """(P, R, F) per model variant."""
     if dataset is None:
         dataset = build_ner_dataset(kg)
-    train, valid = _split(dataset)
+    train, valid = train_valid_split(dataset)
     if k_shot is not None:
         train = k_shot_subsample(train, k_shot)
     tag_set = sorted({t for _, tags in dataset for t in tags})

@@ -3,6 +3,9 @@ from __future__ import annotations
 
 from typing import List, Sequence
 
+#: Recall weight of the F-measure, as in Lin (2004).
+BETA = 1.2
+
 
 def lcs_length(a: Sequence[str], b: Sequence[str]) -> int:
     """Longest common subsequence length, O(|a|·|b|) DP."""
@@ -17,8 +20,8 @@ def lcs_length(a: Sequence[str], b: Sequence[str]) -> int:
     return prev[-1]
 
 
-def rouge_l(pred: Sequence[str], ref: Sequence[str], beta: float = 1.2) -> float:
-    """ROUGE-L F-measure (β weights recall, per the original)."""
+def rouge_l(pred: Sequence[str], ref: Sequence[str]) -> float:
+    """ROUGE-L F-measure (``BETA`` weights recall, per the original)."""
     if not pred or not ref:
         return 0.0
     lcs = lcs_length(pred, ref)
@@ -26,7 +29,7 @@ def rouge_l(pred: Sequence[str], ref: Sequence[str], beta: float = 1.2) -> float
     r = lcs / len(ref)
     if p == 0 or r == 0:
         return 0.0
-    return (1 + beta**2) * p * r / (r + beta**2 * p)
+    return (1 + BETA**2) * p * r / (r + BETA**2 * p)
 
 
 def corpus_rouge_l(preds: List[Sequence[str]], refs: List[Sequence[str]]) -> float:

@@ -16,7 +16,7 @@ crucial constituent in OpenBG".
 """
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 import numpy as np
 import pandas as pd
@@ -24,6 +24,7 @@ import pandas as pd
 from repro.construction.assemble import OpenBG
 from repro.core import schema as S
 from repro.corpus.products import CONCEPT_RELS, affinity_permutation
+from repro.downstream import train_valid_split
 from repro.downstream.classifier import SoftmaxClassifier
 from repro.pretrain.model import FoundationModel
 
@@ -34,17 +35,14 @@ NONSALIENT_RANK = 4
 
 def build_dataset(kg: OpenBG, seed: int = 0) -> pd.DataFrame:
     """(category, r, node, cat_label, concept_label, label) rows."""
-    cat_nodes = kg.onto.taxonomies["Category"].nodes
-    cat_label = cat_nodes.set_index("node_id")["label"]
+    cat_label = kg.onto.taxonomies["Category"].label_of()
     rows = []
     for rel in CONCEPT_RELS:
         root = S.OBJECT_PROPERTY_RANGE[rel]
         leaves = kg.onto.taxonomies[root].leaves()["node_id"].to_numpy()
         if len(leaves) < NONSALIENT_RANK + 1:
             continue
-        node_label = (
-            kg.onto.taxonomies[root].nodes.set_index("node_id")["label"]
-        )
+        node_label = kg.onto.taxonomies[root].label_of()
         for category in sorted(kg.catalog.products["category"].unique()):
             perm = affinity_permutation(root, category, len(leaves))
             rank_of = {leaves[perm[k]]: k for k in range(len(leaves))}
@@ -92,12 +90,6 @@ def _featurize(model: FoundationModel, df: pd.DataFrame) -> np.ndarray:
     return np.stack(rows)
 
 
-def _split(df: pd.DataFrame, seed: int = 1) -> Tuple[pd.DataFrame, pd.DataFrame]:
-    g = np.random.default_rng(seed)
-    mask = g.random(len(df)) < 0.8
-    return df[mask].reset_index(drop=True), df[~mask].reset_index(drop=True)
-
-
 def run_salience(
     kg: OpenBG,
     models: Dict[str, FoundationModel],
@@ -111,7 +103,7 @@ def run_salience(
         # degenerate at tiny scales (concept taxonomies too small to
         # define a salient/non-salient band) — nothing to evaluate
         return {}
-    train, valid = _split(dataset)
+    train, valid = train_valid_split(dataset)
     y_tr = train["label"].to_numpy()
     y_va = valid["label"].to_numpy()
     out = {}

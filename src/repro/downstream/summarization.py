@@ -10,13 +10,15 @@ attribute-bearing tokens survive compression (the paper's analysis).
 """
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 import numpy as np
 import pandas as pd
 
 from repro.construction.assemble import OpenBG
-from repro.corpus.vocab import NOISE_TOKENS, build_surface_forms
+from repro.construction.lexicon import Lexicon
+from repro.corpus.vocab import NOISE_TOKENS
+from repro.downstream import train_valid_split
 from repro.downstream.classifier import SoftmaxClassifier
 from repro.downstream.rouge import corpus_rouge_l
 from repro.pretrain.model import FoundationModel
@@ -25,13 +27,11 @@ from repro.pretrain.model import FoundationModel
 def build_dataset(kg: OpenBG, seed: int = 0) -> pd.DataFrame:
     """(long, ref) token strings.  ``ref`` = non-noise tokens of the
     original title; ``long`` = title + 3–6 extra marketing tokens at
-    random positions."""
+    random positions.  Informative = brand surfaces, attribute values
+    and taxonomy labels."""
     g = np.random.default_rng(seed)
-    forms = build_surface_forms(kg.onto)
-    informative = set(forms.brand_forms["surface"])
-    informative |= {v for vals in forms.attr_values.values() for v in vals}
-    for tax in kg.onto.taxonomies.values():
-        informative |= set(tax.nodes["label"])
+    lex = Lexicon.of(kg.onto)
+    informative = lex.brand_tokens | set(lex.value_to_attr) | lex.taxonomy_labels
 
     rows = []
     for title in kg.catalog.products["title"]:
@@ -69,12 +69,6 @@ def _token_features(model: FoundationModel, tok: str) -> np.ndarray:
     return np.concatenate([feats, kg_flags])
 
 
-def _split(df: pd.DataFrame, seed: int = 1) -> Tuple[pd.DataFrame, pd.DataFrame]:
-    g = np.random.default_rng(seed)
-    mask = g.random(len(df)) < 0.8
-    return df[mask].reset_index(drop=True), df[~mask].reset_index(drop=True)
-
-
 def run_summarization(
     kg: OpenBG,
     models: Dict[str, FoundationModel],
@@ -84,7 +78,7 @@ def run_summarization(
     """Corpus ROUGE-L (×100-comparable in [0,1]) per model variant."""
     if dataset is None:
         dataset = build_dataset(kg)
-    train, valid = _split(dataset)
+    train, valid = train_valid_split(dataset)
 
     out = {}
     for name, model in models.items():

@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 import dataclasses
-from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 import numpy as np
 import pandas as pd
@@ -46,12 +46,12 @@ class KGEDataset:
     """Integer-indexed view of one benchmark.
 
     ``train``/``dev``/``test`` are (n, 3) int32 arrays of
-    (head, relation, tail) indices.  ``known`` holds every true triple
-    across all splits — the *filtered* evaluation protocol removes these
-    from candidate rankings, through ``filters["tail"]`` (known tails of
-    each (h, r)) and ``filters["head"]`` (known heads of each (t, r)).
-    ``known_keys`` is the same set as sorted :func:`triple_keys`, which
-    negative sampling tests whole batches against.
+    (head, relation, tail) indices.  The *filtered* evaluation protocol
+    removes every true triple across all splits from candidate rankings,
+    through ``filters["tail"]`` (known tails of each (h, r)) and
+    ``filters["head"]`` (known heads of each (t, r)).  ``known_keys``
+    holds the same triples as sorted :func:`triple_keys`, which negative
+    sampling tests whole batches against.
     """
 
     entities: List[str]
@@ -61,7 +61,6 @@ class KGEDataset:
     test: np.ndarray
     ent_idx: Dict[str, int]
     rel_idx: Dict[str, int]
-    known: Set[Tuple[int, int, int]]
     known_keys: np.ndarray
     filters: Dict[str, KnownTargets]
 
@@ -100,13 +99,11 @@ class KGEDataset:
 
         tr, dv, te = enc(train), enc(dev), enc(test)
         every = np.concatenate([tr, dv, te])
-        known = {tuple(row) for row in every.tolist()}
         known_keys = np.unique(triple_keys(every, len(entities)))
         h, r, t = every.T
         filters = {"tail": KnownTargets.build(h, r, t, len(relations)),
                    "head": KnownTargets.build(t, r, h, len(relations))}
-        return cls(entities, relations, tr, dv, te, ent_idx, rel_idx, known, known_keys,
-                   filters)
+        return cls(entities, relations, tr, dv, te, ent_idx, rel_idx, known_keys, filters)
 
     @classmethod
     def from_benchmark(cls, bench: Benchmark) -> "KGEDataset":

@@ -46,6 +46,10 @@ class Taxonomy:
         vc = self.nodes["level"].value_counts().sort_index()
         return [int(vc.get(lvl, 0)) for lvl in range(1, vc.index.max() + 1)]
 
+    def label_of(self) -> pd.Series:
+        """node_id → label lookup."""
+        return self.nodes.set_index("node_id")["label"]
+
     def leaves(self) -> pd.DataFrame:
         return self.nodes[self.nodes["is_leaf"]].reset_index(drop=True)
 
@@ -90,8 +94,3 @@ def build_taxonomy(root: str, level_sizes: List[int], seed: int) -> Taxonomy:
     nodes["is_leaf"] = ~nodes["node_id"].isin(has_child)
     return Taxonomy(root=root, nodes=nodes)
 
-
-def taxonomy_depth_of(node_ids: pd.Series, nodes: pd.DataFrame) -> pd.Series:
-    """Level lookup for a series of node ids (vectorized merge)."""
-    lut = nodes.set_index("node_id")["level"]
-    return node_ids.map(lut)

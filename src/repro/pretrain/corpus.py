@@ -36,7 +36,7 @@ def supervised_pairs(kg: OpenBG) -> pd.DataFrame:
     embedding corpus so label/value tokens co-occur with titles.
     """
     p = kg.catalog.products
-    cat_label = kg.onto.taxonomies["Category"].nodes.set_index("node_id")["label"]
+    cat_label = kg.onto.taxonomies["Category"].label_of()
     rows = [
         pd.DataFrame(
             {

@@ -14,6 +14,12 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
+#: Co-occurrence window (tokens each side) and vocabulary size of the fit.
+WINDOW = 2
+MAX_VOCAB = 3000
+#: Lloyd iterations of :func:`kmeans_clusters`.
+KMEANS_ITERS = 20
+
 
 class TokenEmbeddings:
     """PPMI co-occurrence matrix factorized by randomized SVD."""
@@ -31,14 +37,12 @@ class TokenEmbeddings:
         cls,
         corpus: List[Sequence[str]],
         dim: int = 32,
-        window: int = 2,
-        max_vocab: int = 3000,
         seed: int = 0,
     ) -> "TokenEmbeddings":
         from collections import Counter
 
         freq = Counter(t for sent in corpus for t in sent)
-        vocab = {t: i for i, (t, _) in enumerate(freq.most_common(max_vocab))}
+        vocab = {t: i for i, (t, _) in enumerate(freq.most_common(MAX_VOCAB))}
         V = len(vocab)
         C = np.zeros((V, V))
         for sent in corpus:
@@ -46,7 +50,7 @@ class TokenEmbeddings:
             for i, a in enumerate(idx):
                 if a < 0:
                     continue
-                for j in range(max(0, i - window), min(len(idx), i + window + 1)):
+                for j in range(max(0, i - WINDOW), min(len(idx), i + WINDOW + 1)):
                     b = idx[j]
                     if b >= 0 and j != i:
                         C[a, b] += 1.0
@@ -99,9 +103,7 @@ def hashed_bow(tokens: Sequence[str], dim: int = 32, seed: int = 17) -> np.ndarr
     return v / max(n, 1e-9)
 
 
-def kmeans_clusters(
-    emb: TokenEmbeddings, k: int, seed: int = 0, iters: int = 20
-) -> Dict[str, int]:
+def kmeans_clusters(emb: TokenEmbeddings, k: int, seed: int = 0) -> Dict[str, int]:
     """Lloyd k-means over the embedding table → token → cluster id.
 
     Cluster ids serve as *discrete* features for the structured
@@ -111,7 +113,7 @@ def kmeans_clusters(
     k = min(k, len(X))
     g = np.random.default_rng(seed)
     centers = X[g.choice(len(X), k, replace=False)]
-    for _ in range(iters):
+    for _ in range(KMEANS_ITERS):
         d = ((X[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
         assign = d.argmin(axis=1)
         for c in range(k):

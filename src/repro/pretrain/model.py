@@ -34,7 +34,7 @@ from pyspark.sql import SparkSession
 
 from repro.construction.assemble import OpenBG
 from repro.construction.facets import statement_scores
-from repro.corpus.vocab import build_surface_forms
+from repro.construction.lexicon import Lexicon
 from repro.pretrain.corpus import (
     general_texts,
     kg_text_corpus,
@@ -42,10 +42,14 @@ from repro.pretrain.corpus import (
 )
 from repro.pretrain.features import TokenEmbeddings, hashed_bow, kmeans_clusters
 
+#: Width of the hashed bag-of-words channel every variant's encoding carries.
+BOW_DIM = 32
 
-@dataclasses.dataclass
-class KGFeatures:
-    """OpenBG-derived features for "+KG" model variants.
+
+@dataclasses.dataclass(frozen=True)
+class KGFeatures(Lexicon):
+    """OpenBG-derived features for "+KG" model variants: the ontology's
+    :class:`Lexicon` (gazetteers) plus two KG statistics.
 
     ``token_cat_logprior`` maps a surface token (brand surface, value
     token, concept label) to log P(category | token) — computed with
@@ -54,30 +58,13 @@ class KGFeatures:
     (typicality, remarkability) from the facet pipeline.
     """
 
-    value_to_attr: Dict[str, str]
-    brand_tokens: frozenset
-    concept_label_root: Dict[str, str]
-    category_labels: frozenset
     token_cat_logprior: Dict[str, Dict[str, float]]
     statement_stats: Dict[Tuple[str, str, str], Tuple[float, float]]
 
     @classmethod
     def build(cls, spark: SparkSession, kg: OpenBG) -> "KGFeatures":
-        forms = build_surface_forms(kg.onto)
+        lex = Lexicon.of(kg.onto)
         cat = kg.catalog
-        value_to_attr = {
-            v: r for r, vals in forms.attr_values.items() for v in vals
-        }
-        brand_tokens = frozenset(forms.brand_forms["surface"])
-        concept_label_root: Dict[str, str] = {}
-        concept_label_node: Dict[str, str] = {}
-        for root, tax in kg.onto.concept_taxonomies.items():
-            for nid, label in tax.nodes[["node_id", "label"]].itertuples(index=False):
-                concept_label_root[label] = root
-                concept_label_node[label] = nid
-        cat_nodes = kg.onto.taxonomies["Category"].nodes
-        category_labels = frozenset(cat_nodes["label"])
-        cat_label = cat_nodes.set_index("node_id")["label"]
 
         # ---- Spark: token → category log-priors over the full KG ---------
         prod_cat = spark.createDataFrame(
@@ -93,7 +80,7 @@ class KGFeatures:
             columns={"value": "token"}
         )
         sources.append(spark.createDataFrame(values))
-        label_of = pd.Series(concept_label_node).reset_index()
+        label_of = pd.Series(lex.concept_label_node).reset_index()
         label_of.columns = ["token", "t"]
         concepts = cat.concept_links.merge(label_of, on="t")[
             ["product_id", "token"]
@@ -122,14 +109,7 @@ class KGFeatures:
             (row.category, row.r, row.t): (row.typicality, row.remarkability)
             for row in scored.itertuples()
         }
-        return cls(
-            value_to_attr=value_to_attr,
-            brand_tokens=brand_tokens,
-            concept_label_root=concept_label_root,
-            category_labels=category_labels,
-            token_cat_logprior=token_cat,
-            statement_stats=statement_stats,
-        )
+        return cls(**vars(lex), token_cat_logprior=token_cat, statement_stats=statement_stats)
 
     def category_prior(self, tokens: Sequence[str], categories: List[str]) -> np.ndarray:
         """Σ_token log P(category | token) over known tokens, as a vector
@@ -153,19 +133,16 @@ class FoundationModel:
     name: str
     emb: TokenEmbeddings
     kg: Optional[KGFeatures] = None
-    bow_dim: int = 32
     n_clusters: int = 16
     _clusters: Optional[Dict[str, int]] = None
 
     @property
     def feature_dim(self) -> int:
-        return self.emb.dim + 1 + self.bow_dim
+        return self.emb.dim + 1 + BOW_DIM
 
     def encode(self, tokens: Sequence[str]) -> np.ndarray:
         """Dense features: mean embedding ⊕ OOV rate ⊕ hashed BoW."""
-        return np.concatenate(
-            [self.emb.encode(tokens), hashed_bow(tokens, self.bow_dim)]
-        )
+        return np.concatenate([self.emb.encode(tokens), hashed_bow(tokens, BOW_DIM)])
 
     def clusters(self) -> Dict[str, int]:
         """Token → cluster id (discrete features for the perceptron)."""
@@ -177,7 +154,10 @@ class FoundationModel:
 def model_grid(
     spark: SparkSession, kg: OpenBG, reviews: pd.DataFrame
 ) -> Dict[str, FoundationModel]:
-    """Build all paper baselines' substitutes over one world."""
+    """Build all paper baselines' substitutes over one world.
+
+    RoBERTa-base and RoBERTa-base+KG share one embedding fit: they differ
+    only in the KG features."""
     domain = unsupervised_texts(kg, reviews)
     domain_kg = domain + kg_text_corpus(kg)
     general = general_texts()
@@ -186,10 +166,11 @@ def model_grid(
     def emb(corpus, dim, seed):
         return TokenEmbeddings.train(corpus, dim=dim, seed=seed)
 
+    roberta_base = emb(general, 32, 2)
     return {
         "RoBERTa-large": FoundationModel("RoBERTa-large", emb(general, 64, 1), n_clusters=32),
-        "RoBERTa-base": FoundationModel("RoBERTa-base", emb(general, 32, 2)),
-        "RoBERTa-base+KG": FoundationModel("RoBERTa-base+KG", emb(general, 32, 2), kg=kgf),
+        "RoBERTa-base": FoundationModel("RoBERTa-base", roberta_base),
+        "RoBERTa-base+KG": FoundationModel("RoBERTa-base+KG", roberta_base, kg=kgf),
         "UIE": FoundationModel("UIE", emb(general, 40, 3)),
         "mT5": FoundationModel("mT5", emb(general, 40, 4)),
         "BERT": FoundationModel("BERT", emb(general, 24, 5)),

@@ -2,11 +2,12 @@
 
 Tables I–II run at ``BENCH_CONFIG`` scale; Tables III–VII share one
 ``EXP_CONFIG`` world, its benchmarks, its review corpus, and the
-foundation-model grid — built once per process.
+foundation-model grid — built once per process.  Tables V–VII also
+share their per-task sample caps and the k-shot row layout.
 """
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Callable, Dict, Optional
 
 import pandas as pd
 from pyspark.sql import SparkSession
@@ -15,6 +16,10 @@ from repro.benchmark.build import Benchmark, build_all_benchmarks
 from repro.construction.assemble import OpenBG, build_world
 from repro.core.config import ScaledConfig
 from repro.corpus import generate_reviews
+
+#: Per-task sample caps of Tables V–VII; they keep featurization
+#: tractable at experiment scale.
+CAPS = dict(category=6000, ner=4000, summarization=4000, ie=5000)
 
 
 class ExperimentContext:
@@ -62,6 +67,22 @@ class ExperimentContext:
             )
         g = self._grids[k]
         return g if names is None else {n: g[n] for n in names}
+
+
+def k_shot_table(
+    paper: Dict[str, Dict[int, float]], run_k: Callable[[int], Dict[str, float]]
+) -> pd.DataFrame:
+    """Tables VI/VII: per model, the paper's and our score at 1 and 5
+    shots; ``run_k(k)`` gives each model's score in [0, 1]."""
+    ours = {k: run_k(k) for k in (1, 5)}
+    rows = []
+    for model, by_k in paper.items():
+        row = {"model": model}
+        for k in (1, 5):
+            row[f"paper {k}-shot"] = by_k[k]
+            row[f"ours {k}-shot"] = round(ours[k][model] * 100, 2)
+        rows.append(row)
+    return pd.DataFrame(rows)
 
 
 def df_to_markdown(df: pd.DataFrame, floatfmt: str = "{:.3f}") -> str:

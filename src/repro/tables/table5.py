@@ -1,8 +1,6 @@
 """Table V — evaluation of the five downstream tasks (full resource)."""
 from __future__ import annotations
 
-from typing import Optional
-
 import pandas as pd
 
 from repro.core.config import EXP_CONFIG, ScaledConfig
@@ -11,7 +9,7 @@ from repro.downstream.ie_reviews import run_ie
 from repro.downstream.ner_titles import build_ner_dataset, run_ner
 from repro.downstream.salience import run_salience
 from repro.downstream.summarization import build_dataset as summ_ds, run_summarization
-from repro.tables.context import ExperimentContext
+from repro.tables.context import CAPS, ExperimentContext
 
 #: Paper Table V.  '/' in the paper = model not evaluated on that task.
 PAPER = {
@@ -37,67 +35,37 @@ PAPER = {
     },
 }
 
-#: Sample caps keep featurization tractable at experiment scale.
-CAPS = dict(category=6000, ner=4000, summarization=4000, ie=5000)
+#: Per column: the task's runner and its keyword inputs (capped) from the
+#: world and its reviews.  Each task runs on the models of its paper column.
+TASKS = {
+    "category (acc)": (
+        run_category_prediction,
+        lambda kg, reviews: {"dataset": cat_ds(kg).head(CAPS["category"])},
+    ),
+    "ner (F1)": (
+        run_ner,
+        lambda kg, reviews: {"dataset": build_ner_dataset(kg)[: CAPS["ner"]]},
+    ),
+    "summarization (ROUGE-L)": (
+        run_summarization,
+        lambda kg, reviews: {"dataset": summ_ds(kg).head(CAPS["summarization"])},
+    ),
+    "ie (F1)": (run_ie, lambda kg, reviews: {"reviews": reviews.head(CAPS["ie"])}),
+    "salience (acc)": (run_salience, lambda kg, reviews: {}),
+}
 
 
-def run(
-    ctx: ExperimentContext,
-    cfg: ScaledConfig = EXP_CONFIG,
-    caps: Optional[dict] = None,
-) -> pd.DataFrame:
-    caps = {**CAPS, **(caps or {})}
+def run(ctx: ExperimentContext, cfg: ScaledConfig = EXP_CONFIG) -> pd.DataFrame:
     kg = ctx.world(cfg)
-    grid = ctx.grid(cfg)
     reviews = ctx.reviews(cfg)
-
-    def subgrid(names):
-        return {n: grid[n] for n in names}
-
-    results = {}
-    results["category (acc)"] = {
-        k: v * 100
-        for k, v in run_category_prediction(
-            kg,
-            subgrid(["RoBERTa-large", "mPLUG-base", "mPLUG-base+KG", "mPLUG-large+KG"]),
-            dataset=cat_ds(kg).head(caps["category"]),
-        ).items()
-    }
-    results["ner (F1)"] = {
-        k: v[2] * 100
-        for k, v in run_ner(
-            kg,
-            subgrid(["RoBERTa-large", "UIE", "mPLUG-base", "mPLUG-base+KG", "mPLUG-large+KG"]),
-            dataset=build_ner_dataset(kg)[: caps["ner"]],
-        ).items()
-    }
-    results["summarization (ROUGE-L)"] = {
-        k: v * 100
-        for k, v in run_summarization(
-            kg,
-            subgrid(["mT5", "mPLUG-base", "mPLUG-base+KG", "mPLUG-large+KG"]),
-            dataset=summ_ds(kg).head(caps["summarization"]),
-        ).items()
-    }
-    results["ie (F1)"] = {
-        k: v[2] * 100
-        for k, v in run_ie(
-            kg,
-            subgrid(["mT5", "mPLUG-base", "mPLUG-base+KG", "mPLUG-large+KG"]),
-            reviews.head(caps["ie"]),
-        ).items()
-    }
-    results["salience (acc)"] = {
-        k: v * 100
-        for k, v in run_salience(
-            kg,
-            subgrid(["BERT", "mPLUG-base", "mPLUG-base+KG", "mPLUG-large+KG"]),
-        ).items()
-    }
-
     rows = []
     for task, paper_col in PAPER.items():
-        ours_col = results.get(task, {})
+        runner, inputs = TASKS[task]
+        results = runner(kg, ctx.grid(cfg, list(paper_col)), **inputs(kg, reviews))
+        # P/R/F tasks report F1
+        ours_col = {
+            m: (v[2] if isinstance(v, tuple) else v) * 100 for m, v in results.items()
+        }
         for model in sorted(set(paper_col) | set(ours_col)):
             rows.append(
                 {

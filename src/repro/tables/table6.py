@@ -5,7 +5,7 @@ import pandas as pd
 
 from repro.core.config import EXP_CONFIG, ScaledConfig
 from repro.downstream.category_pred import build_dataset, run_category_prediction
-from repro.tables.context import ExperimentContext
+from repro.tables.context import CAPS, ExperimentContext, k_shot_table
 
 PAPER = {
     "RoBERTa-large": {1: 24.16, 5: 68.73},
@@ -15,31 +15,11 @@ PAPER = {
     "mPLUG-large+KG": {1: 57.68, 5: 71.57},
 }
 
-MODELS = list(PAPER)
 
-
-def run(ctx: ExperimentContext, cfg: ScaledConfig = EXP_CONFIG, cap: int = 6000) -> pd.DataFrame:
+def run(ctx: ExperimentContext, cfg: ScaledConfig = EXP_CONFIG) -> pd.DataFrame:
     kg = ctx.world(cfg)
-    grid = ctx.grid(cfg, MODELS)
-    ds = build_dataset(kg).head(cap)
-    ours = {
-        k: {
-            name: v * 100
-            for name, v in run_category_prediction(
-                kg, grid, dataset=ds, k_shot=k
-            ).items()
-        }
-        for k in (1, 5)
-    }
-    rows = []
-    for model in MODELS:
-        rows.append(
-            {
-                "model": model,
-                "paper 1-shot": PAPER[model][1],
-                "ours 1-shot": round(ours[1][model], 2),
-                "paper 5-shot": PAPER[model][5],
-                "ours 5-shot": round(ours[5][model], 2),
-            }
-        )
-    return pd.DataFrame(rows)
+    grid = ctx.grid(cfg, list(PAPER))
+    ds = build_dataset(kg).head(CAPS["category"])
+    return k_shot_table(
+        PAPER, lambda k: run_category_prediction(kg, grid, dataset=ds, k_shot=k)
+    )

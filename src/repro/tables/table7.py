@@ -5,7 +5,7 @@ import pandas as pd
 
 from repro.core.config import EXP_CONFIG, ScaledConfig
 from repro.downstream.ner_titles import build_ner_dataset, run_ner
-from repro.tables.context import ExperimentContext
+from repro.tables.context import CAPS, ExperimentContext, k_shot_table
 
 PAPER = {
     "UIE": {1: 57.20, 5: 66.80},
@@ -15,29 +15,12 @@ PAPER = {
     "mPLUG-large+KG": {1: 62.57, 5: 70.41},
 }
 
-MODELS = list(PAPER)
 
-
-def run(ctx: ExperimentContext, cfg: ScaledConfig = EXP_CONFIG, cap: int = 4000) -> pd.DataFrame:
+def run(ctx: ExperimentContext, cfg: ScaledConfig = EXP_CONFIG) -> pd.DataFrame:
     kg = ctx.world(cfg)
-    grid = ctx.grid(cfg, MODELS)
-    ds = build_ner_dataset(kg)[:cap]
-    ours = {
-        k: {
-            name: v[2] * 100
-            for name, v in run_ner(kg, grid, dataset=ds, k_shot=k).items()
-        }
-        for k in (1, 5)
-    }
-    rows = []
-    for model in MODELS:
-        rows.append(
-            {
-                "model": model,
-                "paper 1-shot": PAPER[model][1],
-                "ours 1-shot": round(ours[1][model], 2),
-                "paper 5-shot": PAPER[model][5],
-                "ours 5-shot": round(ours[5][model], 2),
-            }
-        )
-    return pd.DataFrame(rows)
+    grid = ctx.grid(cfg, list(PAPER))
+    ds = build_ner_dataset(kg)[: CAPS["ner"]]
+    return k_shot_table(
+        PAPER,
+        lambda k: {m: prf[2] for m, prf in run_ner(kg, grid, dataset=ds, k_shot=k).items()},
+    )

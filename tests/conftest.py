@@ -21,6 +21,22 @@ def kg(spark):
 
 
 @pytest.fixture(scope="session")
+def reviews(kg):
+    """The test-scale review corpus."""
+    from repro.corpus import generate_reviews
+
+    return generate_reviews(kg.onto, kg.catalog, TEST_CONFIG)
+
+
+@pytest.fixture(scope="session")
+def grid(spark, kg, reviews):
+    """The full foundation-model grid over the test-scale world."""
+    from repro.pretrain.model import model_grid
+
+    return model_grid(spark, kg, reviews)
+
+
+@pytest.fixture(scope="session")
 def benches(kg):
     """The three constructed benchmarks (boosted ×3 for usable sizes)."""
     from repro.benchmark.build import build_all_benchmarks

@@ -5,9 +5,12 @@ Assertions encode the paper's *mechanism-driven* qualitative findings
 the KG edge) with loose tolerances — exact magnitudes belong to
 EXPERIMENTS.md at experiment scale.
 """
+from collections import Counter
+
 import numpy as np
 import pytest
 
+from repro.downstream import train_valid_split
 from repro.downstream.category_pred import (
     build_dataset as build_cat_dataset,
     k_shot_subsample,
@@ -83,6 +86,24 @@ def test_ner_k_shot_quota(kg_mid):
     ds = build_ner_dataset(kg_mid)
     sub = ner_k_shot(ds, k=1)
     assert 0 < len(sub) < len(ds)
+
+
+@pytest.mark.parametrize("k", [1, 5])
+def test_ner_k_shot_greedy_cover(kg_mid, k):
+    """Every entity type of the train split appears in at least
+    min(k, its train count) picked sentences."""
+    train, _ = train_valid_split(build_ner_dataset(kg_mid))
+    picked = ner_k_shot(train, k=k)
+
+    def type_counts(sents):
+        c = Counter()
+        for _, tags in sents:
+            c.update({t[2:] for t in tags if t.startswith("B-")})
+        return c
+
+    have = type_counts(picked)
+    for tp, n in type_counts(train).items():
+        assert have[tp] >= min(k, n), tp
 
 
 def test_ner_orderings(kg_mid, models):

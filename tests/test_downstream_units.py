@@ -3,6 +3,7 @@ import numpy as np
 import pandas as pd
 import pytest
 
+from repro.downstream import train_valid_split
 from repro.downstream.classifier import SoftmaxClassifier
 from repro.downstream.ie_reviews import (
     assemble_triples,
@@ -150,3 +151,14 @@ def test_kmeans_clusters_cover_vocab():
 def test_general_texts_deterministic():
     assert general_texts(50, seed=1) == general_texts(50, seed=1)
     assert general_texts(50, seed=1) != general_texts(50, seed=2)
+
+
+# ---- shared protocol -------------------------------------------------------
+
+def test_train_valid_split_same_rows_for_frames_and_lists():
+    df = pd.DataFrame({"x": range(200)})
+    tr, va = train_valid_split(df)
+    ltr, lva = train_valid_split(list(range(200)))
+    assert list(tr["x"]) == ltr and list(va["x"]) == lva
+    assert sorted(ltr + lva) == list(range(200))
+    assert 140 <= len(ltr) <= 180

@@ -10,6 +10,7 @@ from repro.kge.multimodal import MKGformerLite, RSME, TransAE
 from repro.kge.text import GenKGCSim, KGBERTSim, StARSim, hash_text_features
 from repro.kge.trans import TransD, TransE, TransH
 from repro.kge.tucker import TuckER
+from tests.kge_helpers import known_triples
 
 STRUCTURAL = [TransE, TransH, TransD, DistMult, ComplEx, TuckER]
 WITH_FEATURES = [KGBERTSim, StARSim, GenKGCSim, TransAE, RSME, MKGformerLite]
@@ -60,12 +61,12 @@ def test_score_all_rows_equal_one_query_calls(Model, tails):
 
 
 def _brute_force_ranks(model, data, tails):
-    """Filtered ranks straight from ``known``, one query at a time."""
+    """Filtered ranks straight from the known triples, one query at a time."""
     out = []
     for h, r, t in data.test.tolist():
         anchor, gold = (h, t) if tails else (t, h)
         s = model.score_candidates(anchor, r, tails=tails).copy()
-        others = [(tt if tails else hh) for hh, rr, tt in data.known
+        others = [(tt if tails else hh) for hh, rr, tt in known_triples(data)
                   if rr == r and (hh if tails else tt) == anchor]
         s[[o for o in others if o != gold]] = -np.inf
         out.append(1 + int(np.sum(s > s[gold])))
@@ -122,7 +123,7 @@ def test_perfect_model_gets_rank_one():
         def score_all(self, anchors, rels, tails=True):
             s = np.full((len(anchors), self.n_ent), -10.0)
             for i, (a, r) in enumerate(zip(anchors, rels)):
-                for (hh, rr, tt) in data.known:
+                for (hh, rr, tt) in known_triples(data):
                     if tails and hh == a and rr == r:
                         s[i, tt] = 10.0
                     if not tails and tt == a and rr == r:

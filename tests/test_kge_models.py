@@ -7,6 +7,7 @@ from repro.kge.data import KGEDataset, negative_sample
 from repro.kge.evaluate import evaluate, metrics_from_ranks
 from repro.kge.trans import TransD, TransE, TransH
 from repro.kge.tucker import TuckER
+from tests.kge_helpers import known_triples
 
 ALL_MODELS = [TransE, TransH, TransD, DistMult, ComplEx, TuckER]
 
@@ -181,7 +182,7 @@ def test_metrics_from_ranks_hand_computed():
 def test_dataset_indexing_roundtrip():
     data = _toy_dataset()
     assert data.train.shape[1] == 3
-    assert len(data.known) == len(data.train) + len(data.dev) + len(data.test)
+    assert len(known_triples(data)) == len(data.train) + len(data.dev) + len(data.test)
     assert data.n_ent == len(data.ent_idx)
     assert data.train[:, 1].max() < data.n_rel
 

@@ -9,6 +9,7 @@ from repro.kge.data import KGEDataset, negative_sample
 from repro.kge.multimodal import RSME, TransAE, synth_image_features
 from repro.kge.text import KGBERTSim, StARSim, hash_text_features
 from repro.kge.tucker import TuckER
+from tests.kge_helpers import known_triples
 
 
 # ---- TuckER -----------------------------------------------------------------
@@ -150,7 +151,7 @@ def test_negative_sample_matches_reference_loop(seed):
     for s in range(0, len(data.train), 64):
         pos = data.train[s : s + 64]
         got = negative_sample(pos, data.n_ent, 3, a, data.known_keys)
-        want, n = reference_negative_sample(pos, data.n_ent, 3, b, data.known)
+        want, n = reference_negative_sample(pos, data.n_ent, 3, b, known_triples(data))
         redrawn += n
         np.testing.assert_array_equal(got, want)
         assert got.dtype == want.dtype
@@ -160,7 +161,7 @@ def test_negative_sample_matches_reference_loop(seed):
 
 def test_known_keys_are_the_known_set():
     data = _dense_dataset()
-    assert len(data.known_keys) == len(data.known)
+    assert len(data.known_keys) == len(known_triples(data))
     assert np.all(np.diff(data.known_keys) > 0)
 
 

@@ -9,15 +9,17 @@ from repro.pretrain.corpus import (
     supervised_pairs,
     unsupervised_texts,
 )
-from repro.pretrain.model import KGFeatures, model_grid
 
 
 @pytest.fixture(scope="module")
-def world(spark, kg):
-    from repro.corpus import generate_reviews
-
-    reviews = generate_reviews(kg.onto, kg.catalog, TEST_CONFIG)
+def world(kg, reviews):
     return kg, reviews
+
+
+@pytest.fixture(scope="module")
+def kgf(grid):
+    """The KG features the grid's "+KG" variants share."""
+    return grid["mPLUG-base+KG"].kg
 
 
 def test_unsupervised_corpus_sizes(world):
@@ -51,19 +53,16 @@ def test_general_corpus_disjoint_from_domain(world):
     assert all(t.startswith("noise_") for t in overlap)
 
 
-def test_kg_features_gazetteers(spark, world):
-    kg, _ = world
-    kgf = KGFeatures.build(spark, kg)
+def test_kg_features_gazetteers(kgf):
     assert len(kgf.value_to_attr) == TEST_CONFIG.n_attribute_rel_types * 20
     assert all(v.startswith("attr:") for v in set(kgf.value_to_attr.values()))
     assert len(kgf.brand_tokens) > 0
     assert len(kgf.category_labels) > 0
 
 
-def test_kg_features_priors_prefer_true_category(spark, world):
+def test_kg_features_priors_prefer_true_category(world, kgf):
     """A brand's prior must put max mass on categories it links to."""
     kg, _ = world
-    kgf = KGFeatures.build(spark, kg)
     p = kg.catalog.products.dropna(subset=["brand_surface"])
     # pick a brand seen with a single category
     counts = p.groupby("brand_surface")["category"].agg(["nunique", "first", "count"])
@@ -77,18 +76,14 @@ def test_kg_features_priors_prefer_true_category(spark, world):
     assert cats[int(np.argmax(prior))] == true_cat
 
 
-def test_kg_features_statement_stats(spark, world):
-    kg, _ = world
-    kgf = KGFeatures.build(spark, kg)
+def test_kg_features_statement_stats(kgf):
     assert len(kgf.statement_stats) > 0
     for (cat, r, t), (typ, rem) in list(kgf.statement_stats.items())[:20]:
         assert 0 < typ <= 1
         assert rem > 0
 
 
-def test_model_grid_composition(spark, world):
-    kg, reviews = world
-    grid = model_grid(spark, kg, reviews)
+def test_model_grid_composition(grid):
     assert set(grid) == {
         "RoBERTa-large", "RoBERTa-base", "RoBERTa-base+KG", "UIE", "mT5",
         "BERT", "mPLUG-base", "mPLUG-base+KG", "mPLUG-large+KG",
@@ -98,17 +93,14 @@ def test_model_grid_composition(spark, world):
     assert grid["mPLUG-large+KG"].emb.dim > grid["mPLUG-base+KG"].emb.dim
 
 
-def test_domain_models_know_domain_tokens(spark, world):
-    kg, reviews = world
-    grid = model_grid(spark, kg, reviews)
+def test_domain_models_know_domain_tokens(world, grid):
+    kg, _ = world
     some_title_token = kg.catalog.products["title"].iloc[0].split()[0]
     assert grid["mPLUG-base"].emb.vector(some_title_token) is not None
     assert grid["RoBERTa-large"].emb.vector(some_title_token) is None
 
 
-def test_encode_shapes(spark, world):
-    kg, reviews = world
-    grid = model_grid(spark, kg, reviews)
+def test_encode_shapes(grid):
     for m in grid.values():
         v = m.encode(["noise_hot", "unseen_zzz"])
         assert v.shape == (m.feature_dim,)

@@ -11,7 +11,6 @@ def test_taxonomy_node_id_format():
 
 def test_product_item_ids():
     assert S.product_id(42) == "prod:0000042"
-    assert S.item_id(7) == "item:00000007"
 
 
 def test_relation_family_ids():
