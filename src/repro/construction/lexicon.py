@@ -39,7 +39,7 @@ class Lexicon:
         concept_label_root: Dict[str, str] = {}
         concept_label_node: Dict[str, str] = {}
         for root, tax in onto.concept_taxonomies.items():
-            for nid, label in tax.nodes[["node_id", "label"]].itertuples(index=False):
+            for nid, label in zip(tax.nodes["node_id"], tax.nodes["label"]):
                 concept_label_root[label] = root
                 concept_label_node[label] = nid
         return cls(
