@@ -4,29 +4,39 @@ Stage 1 — **relation refinement**: the paper filters relations manually
 by (i) high frequency and (ii) close business relevance.  Mechanized
 here as: candidate triples are the *business* triples (product heads,
 object + attribute relations — labels/comments/meta excluded), ranked
-by frequency, top-N kept.  OpenBG-IMG's R136 ⊆ R500 holds by
-construction: its relations are chosen from R500 restricted to triples
-whose heads carry images.
+by frequency, top-N kept.  Each candidate pool is ranked once:
+OpenBG500 and OpenBG500-L take their top-N from the same ranking, and
+OpenBG-IMG takes its top-N from the image pool's ranking restricted to
+R500, so R136 ⊆ R500 holds by construction.
 
 Stage 2 — **head-entity filtering** (Eq. 1): relations split into
-head-relations (upper half by frequency) and tail-relations; entities
-under each sampled at rates α_h > α_l.
+head-relations (the upper half of stage 1's ranking) and
+tail-relations; entities under each sampled at rates α_h > α_l.
 
 Stage 3 — **tail-entity sampling** (Eq. 2): triples with sampled heads
 and refined relations, sampled at rate α^N to hit the split-size
 target.
+
+One per-head aggregate over the refined triples (does the head carry a
+head-relation, how many triples does it head, its two sampling hashes)
+serves stages 2 and 3: it gives the head counts behind α_h and α_l, the
+sampled heads E^N and |T(E^N, R^N)| behind α^N.  A last job then draws
+the sample itself.
 
 All sampling decisions are deterministic xxhash64 thresholds, so the
 same config always yields the same benchmark.
 """
 from __future__ import annotations
 
+import contextlib
 import dataclasses
-from typing import Dict, List, Optional
+from collections import Counter
+from typing import Dict, Iterator, List, Optional
 
+import numpy as np
 import pandas as pd
 import pyspark.sql.functions as F
-from pyspark.sql import DataFrame, SparkSession
+from pyspark.sql import DataFrame
 
 from repro.core import schema as S
 from repro.core.config import PAPER_BENCHMARKS, ScaledConfig
@@ -35,16 +45,11 @@ from repro.construction.assemble import OpenBG
 #: Denominator of the deterministic-sampling hash bucket.
 _BUCKETS = 1_000_000
 
-#: Explicit split schema so empty splits still lift to Spark.
-from pyspark.sql.types import StringType, StructField, StructType  # noqa: E402
+#: Share of the entity budget spent on sampled heads (stage 2).
+HEAD_SHARE = 0.6
 
-SPLIT_SCHEMA = StructType(
-    [
-        StructField("h", StringType(), False),
-        StructField("r", StringType(), False),
-        StructField("t", StringType(), False),
-    ]
-)
+#: α_h / α_l (Eq. 1 requires α_h > α_l).
+ALPHA_RATIO = 4.0
 
 
 @dataclasses.dataclass(frozen=True)
@@ -64,19 +69,16 @@ class BenchmarkSpec:
     n_dev: int
     n_test: int
     multimodal: bool = False
-    head_share: float = 0.6  # fraction of the entity budget spent on heads
-    alpha_ratio: float = 4.0  # α_h / α_l  (Eq. 1 requires α_h > α_l)
 
 
 @dataclasses.dataclass
 class Benchmark:
     """One constructed benchmark.
 
-    Splits are *materialized* (pandas source of truth + lineage-free
-    Spark views): the sampling stages already bounded their size, and
-    severing the Spark lineage here keeps every downstream consumer
-    (KGE training, stats, tests) from re-running the three-stage
-    pipeline per action.
+    Splits are materialized pandas frames: the sampling stages already
+    bounded their size, and holding them on the driver keeps every
+    downstream consumer (KGE training, stats, tests) from re-running
+    the three-stage pipeline.
     """
 
     spec: BenchmarkSpec
@@ -85,31 +87,15 @@ class Benchmark:
     test_pdf: "pd.DataFrame"
     relations: List[str]
     multimodal_entities: int
-    spark: "SparkSession"
-
-    @property
-    def train(self) -> DataFrame:
-        return self.spark.createDataFrame(self.train_pdf, schema=SPLIT_SCHEMA)
-
-    @property
-    def dev(self) -> DataFrame:
-        return self.spark.createDataFrame(self.dev_pdf, schema=SPLIT_SCHEMA)
-
-    @property
-    def test(self) -> DataFrame:
-        return self.spark.createDataFrame(self.test_pdf, schema=SPLIT_SCHEMA)
 
     def all_pdf(self) -> "pd.DataFrame":
         return pd.concat(
             [self.train_pdf, self.dev_pdf, self.test_pdf], ignore_index=True
         )
 
-    def entities(self) -> List[str]:
-        a = self.all_pdf()
-        return sorted(set(a["h"]) | set(a["t"]))
-
     def entity_count(self) -> int:
-        return len(self.entities())
+        a = self.all_pdf()
+        return len(set(a["h"]) | set(a["t"]))
 
 
 def default_specs(cfg: ScaledConfig, boost: float = 1.0) -> Dict[str, BenchmarkSpec]:
@@ -158,6 +144,16 @@ def business_triples(kg: OpenBG, multimodal: bool) -> DataFrame:
     return pool
 
 
+@contextlib.contextmanager
+def _cached(df: DataFrame) -> Iterator[DataFrame]:
+    """``df`` cached for the duration of the block, then unpersisted."""
+    df = df.cache()
+    try:
+        yield df
+    finally:
+        df.unpersist()
+
+
 def _hash_frac(col: str, seed: int):
     return F.pmod(F.xxhash64(col, F.lit(seed)), F.lit(_BUCKETS)) / _BUCKETS
 
@@ -172,59 +168,92 @@ def _hash_frac3(seed: int):
     return F.pmod(F.xxhash64("h", "r", "t", F.lit(seed)), F.lit(_BUCKETS)) / _BUCKETS
 
 
-def refine_relations(
-    pool: DataFrame, n_rel: int, within: Optional[List[str]] = None
-) -> List[str]:
-    """Stage 1: top-``n_rel`` relations by frequency (optionally within a
-    parent relation set, for the R136 ⊆ R500 containment)."""
-    df = pool
-    if within is not None:
-        df = df.filter(F.col("r").isin(within))
-    freq = df.groupBy("r").agg(F.count("*").alias("n")).orderBy(
-        F.desc("n"), "r"
-    )
-    return [row["r"] for row in freq.limit(n_rel).collect()]
+def _rank_relations(pool: DataFrame) -> List[str]:
+    """Every relation of ``pool``, most frequent first (ties by name)."""
+    counts = pool.groupBy("r").count().collect()
+    return [r for _, r in sorted((-row["count"], row["r"]) for row in counts)]
 
 
-def filter_head_entities(
-    pool: DataFrame, relations: List[str], spec: BenchmarkSpec, seed: int
-) -> DataFrame:
-    """Stage 2 (Eq. 1): E^N = Sample(E_head, α_h) + Sample(E_tail, α_l)."""
-    sub = pool.filter(F.col("r").isin(relations))
-    freq = {r["r"]: r["n"] for r in sub.groupBy("r").agg(F.count("*").alias("n")).collect()}
-    ranked = sorted(relations, key=lambda r: (-freq.get(r, 0), r))
-    head_rels = ranked[: max(1, len(ranked) // 2)]
-
-    heads_head = sub.filter(F.col("r").isin(head_rels)).select("h").distinct()
-    heads_all = sub.select("h").distinct()
-    heads_tail = heads_all.join(heads_head, on="h", how="left_anti")
-
-    n_hh, n_ht = heads_head.count(), heads_tail.count()
-    budget = spec.ent_target * spec.head_share
-    # α_h > α_l with a fixed ratio; solve α_h·n_hh + (α_h/ρ)·n_ht = budget
-    rho = spec.alpha_ratio
-    alpha_h = min(1.0, budget / max(1.0, n_hh + n_ht / rho))
-    alpha_l = alpha_h / rho
-
-    sampled = heads_head.filter(_hash_frac("h", seed) < alpha_h).unionByName(
-        heads_tail.filter(_hash_frac("h", seed + 1) < alpha_l)
-    )
-    return sampled
+def refine_relations(pool: DataFrame, n_rel: int) -> List[str]:
+    """Stage 1: the top-``n_rel`` relations of ``pool`` by frequency."""
+    return _rank_relations(pool)[:n_rel]
 
 
-def sample_triples(
-    pool: DataFrame,
-    relations: List[str],
-    heads: DataFrame,
+def build_benchmark(
+    kg: OpenBG,
     spec: BenchmarkSpec,
-    seed: int,
-) -> DataFrame:
-    """Stage 3 (Eq. 2): T^N = Sample(T(E^N, R^N), α^N)."""
-    t_er = pool.filter(F.col("r").isin(relations)).join(heads, on="h")
-    n = t_er.count()
+    relations: Optional[List[str]] = None,
+    pool: Optional[DataFrame] = None,
+) -> Benchmark:
+    """Run all three stages + split for one benchmark spec.
+
+    ``relations``: stage 1's refined relations, most frequent first;
+    refined from ``pool`` when not given.  ``pool``: a cached candidate
+    pool shared by benchmarks of the same modality; built (and dropped
+    again) here when not given.
+    """
+    if pool is None:
+        with _cached(business_triples(kg, spec.multimodal).coalesce(8)) as pool:
+            return build_benchmark(kg, spec, relations, pool)
+    if relations is None:
+        relations = refine_relations(pool, spec.n_rel)
+    seed = kg.cfg.derived_seed(f"bench-{spec.name}")
+    head_rels = relations[: max(1, len(relations) // 2)]
+    t_r = pool.filter(F.col("r").isin(relations))
+
+    # Stages 2–3 read one row per head of T(·, R^N).
+    per_head = (
+        t_r.groupBy("h")
+        .agg(
+            F.max(F.col("r").isin(head_rels)).alias("is_head"),
+            F.count("*").alias("n"),
+        )
+        .select(
+            "h", "is_head", "n",
+            _hash_frac("h", seed).alias("f_head"),
+            _hash_frac("h", seed + 1).alias("f_tail"),
+        )
+        .toPandas()
+    )
+
+    # Stage 2 (Eq. 1): E^N = Sample(E_head, α_h) + Sample(E_tail, α_l).
+    is_head = per_head["is_head"].to_numpy(dtype=bool)
+    n_hh = int(is_head.sum())
+    n_ht = len(per_head) - n_hh
+    # α_h > α_l with a fixed ratio; solve α_h·n_hh + (α_h/ρ)·n_ht = budget
+    budget = spec.ent_target * HEAD_SHARE
+    alpha_h = min(1.0, budget / max(1.0, n_hh + n_ht / ALPHA_RATIO))
+    alpha_l = alpha_h / ALPHA_RATIO
+    sampled = per_head[
+        np.where(is_head, per_head["f_head"] < alpha_h, per_head["f_tail"] < alpha_l)
+    ]
+
+    # Stage 3 (Eq. 2): T^N = Sample(T(E^N, R^N), α^N).
     want = spec.train_target + spec.n_dev + spec.n_test
-    alpha = min(1.0, want / max(1, n))
-    return t_er.filter(_hash_frac3(seed) < alpha)
+    alpha = min(1.0, want / max(1, int(sampled["n"].sum())))
+    heads = pool.sparkSession.createDataFrame(sampled[["h"]], schema="h string")
+    sampled_pdf = (
+        t_r.join(heads, on="h")
+        .filter(_hash_frac3(seed) < alpha)
+        .select("h", "r", "t")
+        .withColumn("_k", _hash_frac3(seed + 13))
+        .toPandas()
+    )
+    splits = split_benchmark(sampled_pdf, spec)
+
+    n_mm = 0
+    if spec.multimodal:
+        a = pd.concat(splits.values())
+        img_heads = set(kg.multimodal_products()["product_id"])
+        n_mm = len((set(a["h"]) | set(a["t"])) & img_heads)
+    return Benchmark(
+        spec=spec,
+        train_pdf=splits["train"],
+        dev_pdf=splits["dev"],
+        test_pdf=splits["test"],
+        relations=relations,
+        multimodal_entities=n_mm,
+    )
 
 
 def split_benchmark(
@@ -245,8 +274,6 @@ def split_benchmark(
     # Greedy scan in rank order: a row may go to eval only if all of its
     # h / t / r still occur ≥2 times among the not-yet-evaluated rows —
     # guaranteeing at least one training occurrence survives.
-    from collections import Counter
-
     h_cnt = Counter(df["h"])
     t_cnt = Counter(df["t"])
     r_cnt = Counter(df["r"])
@@ -270,59 +297,26 @@ def split_benchmark(
     }
 
 
-def build_benchmark(
-    kg: OpenBG,
-    spec: BenchmarkSpec,
-    r500: Optional[List[str]] = None,
-    pool: Optional[DataFrame] = None,
-) -> Benchmark:
-    """Run all three stages + split for one benchmark spec.
-
-    ``r500``: pass OpenBG500's refined relation list when building
-    OpenBG-IMG so R_IMG ⊆ R500 (paper property).
-    ``pool``: pre-built (cached) candidate pool — benchmarks over the
-    same modality share it instead of rescanning the KG.
-    """
-    seed = kg.cfg.derived_seed(f"bench-{spec.name}")
-    spark = kg.triples.sparkSession
-    if pool is None:
-        pool = business_triples(kg, spec.multimodal).coalesce(8).cache()
-    relations = refine_relations(pool, spec.n_rel, within=r500)
-    heads = filter_head_entities(pool, relations, spec, seed)
-    sampled_pdf = (
-        sample_triples(pool, relations, heads, spec, seed)
-        .select("h", "r", "t")
-        .withColumn("_k", _hash_frac3(seed + 13))
-        .toPandas()
-    )
-    splits = split_benchmark(sampled_pdf, spec)
-
-    if spec.multimodal:
-        img_heads = set(kg.multimodal_products()["product_id"])
-        a = pd.concat([splits["train"], splits["dev"], splits["test"]])
-        ents = set(a["h"]) | set(a["t"])
-        n_mm = len(ents & img_heads)
-    else:
-        n_mm = 0
-    return Benchmark(
-        spec=spec,
-        train_pdf=splits["train"],
-        dev_pdf=splits["dev"],
-        test_pdf=splits["test"],
-        relations=relations,
-        multimodal_entities=n_mm,
-        spark=spark,
-    )
-
-
 def build_all_benchmarks(kg: OpenBG, boost: float = 1.0) -> Dict[str, Benchmark]:
-    """Build the three benchmarks with the R136 ⊆ R500 containment."""
+    """Build the three benchmarks with the R136 ⊆ R500 containment.
+
+    Each candidate pool is cached while the benchmarks over it are
+    sampled, ranked once, and unpersisted when sampling ends.
+    """
     specs = default_specs(kg.cfg, boost=boost)
-    pool = business_triples(kg, multimodal=False).coalesce(8).cache()
-    pool_img = business_triples(kg, multimodal=True).coalesce(4).cache()
-    bg500 = build_benchmark(kg, specs["OpenBG500"], pool=pool)
-    img = build_benchmark(
-        kg, specs["OpenBG-IMG"], r500=bg500.relations, pool=pool_img
-    )
-    bg500l = build_benchmark(kg, specs["OpenBG500-L"], pool=pool)
-    return {"OpenBG-IMG": img, "OpenBG500": bg500, "OpenBG500-L": bg500l}
+    with _cached(business_triples(kg, multimodal=False).coalesce(8)) as pool, \
+            _cached(business_triples(kg, multimodal=True).coalesce(4)) as pool_img:
+        ranked = _rank_relations(pool)
+        r500 = set(ranked[: specs["OpenBG500"].n_rel])
+        ranked_img = [r for r in _rank_relations(pool_img) if r in r500]
+        out = {
+            name: build_benchmark(
+                kg, specs[name], relations=rels[: specs[name].n_rel], pool=p
+            )
+            for name, rels, p in (
+                ("OpenBG-IMG", ranked_img, pool_img),
+                ("OpenBG500", ranked, pool),
+                ("OpenBG500-L", ranked, pool),
+            )
+        }
+    return out

@@ -21,7 +21,6 @@ scales where pandas would not.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict
 
 import numpy as np
 import pandas as pd
@@ -210,20 +209,20 @@ def assemble_openbg(
     prod_sdf = spark.createDataFrame(
         p[["product_id", "brand_surface", "place_surface"]]
     )
-    for which, surface_col, rel in (
-        ("Brand", "brand_surface", S.BRAND_IS),
-        ("Place", "place_surface", S.PLACE_OF_ORIGIN),
-    ):
-        links = (
-            link_surfaces(spark, prod_sdf, build_matcher(forms, which), surface_col)
-            .filter(F.col("node_id").isNotNull())
-            .toPandas()
+    links = [
+        link_surfaces(spark, prod_sdf, build_matcher(forms, which), surface_col)
+        .filter(F.col("node_id").isNotNull())
+        .select(
+            F.col("product_id").alias("h"),
+            F.lit(rel).alias("r"),
+            F.col("node_id").alias("t"),
+            F.lit(S.KIND_OBJECT).alias("rel_kind"),
         )
-        pandas_parts.append(
-            _pdf_triples(links[["product_id", "node_id"]].assign(r=rel)[
-                ["product_id", "r", "node_id"]
-            ], S.KIND_OBJECT)
+        for which, surface_col, rel in (
+            ("Brand", "brand_surface", S.BRAND_IS),
+            ("Place", "place_surface", S.PLACE_OF_ORIGIN),
         )
+    ]
 
     # -- object: concept links (annotated ground truth; Sec. II-C output) ---
     pandas_parts.append(
@@ -262,7 +261,9 @@ def assemble_openbg(
     small = spark.createDataFrame(pandas_df[["h", "r", "t", "rel_kind"]])
 
     triples = (
-        small.unionByName(instantiate_products(spark, p))
+        small.unionByName(links[0])
+        .unionByName(links[1])
+        .unionByName(instantiate_products(spark, p))
         .unionByName(_item_type_triples(spark, p))
         .unionByName(_inmarket_triples(spark, onto, p, cfg))
         .dropDuplicates(["h", "r", "t"])
@@ -280,17 +281,3 @@ def build_world(spark: SparkSession, cfg: ScaledConfig) -> OpenBG:
     catalog = generate_catalog(onto, forms, cfg)
     return assemble_openbg(spark, onto, forms, catalog, cfg)
 
-
-def triple_counts_by_relation(kg: OpenBG) -> Dict[str, int]:
-    """relation → triple count (families collapsed to their prefix)."""
-    df = (
-        kg.triples.withColumn(
-            "rel",
-            F.when(F.col("r").startswith("inMarket:"), F.lit("inMarket*"))
-            .when(F.col("r").startswith("attr:"), F.lit("productAttributes"))
-            .otherwise(F.col("r")),
-        )
-        .groupBy("rel")
-        .agg(F.count("*").alias("n"))
-    )
-    return {row["rel"]: row["n"] for row in df.collect()}

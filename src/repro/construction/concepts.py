@@ -26,11 +26,9 @@ import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql.types import StringType, StructField, StructType
 
-from repro.core.config import CONCEPT_TYPES, ScaledConfig
-from repro.construction.lexicon import Lexicon
+from repro.core.config import CONCEPT_TYPES
 from repro.construction.tagger import PerceptronTagger, span_prf
 from repro.corpus.products import RawCatalog
-from repro.ontology.model import Ontology
 
 #: Tag set used for concept extraction: the five concept roots + the
 #: non-concept title constituents (kept so the tagger can tell them apart).
@@ -57,7 +55,7 @@ ROOT_TO_RELATION = {
 
 
 def annotation_split(
-    catalog: RawCatalog, cfg: ScaledConfig, frac: float = 0.5
+    catalog: RawCatalog, frac: float = 0.5
 ) -> Tuple[pd.DataFrame, pd.DataFrame]:
     """Split products into an 'annotated' subset and the rest."""
     n = len(catalog.products)
@@ -74,11 +72,6 @@ def train_concept_tagger(
     sents = [t.split() for t in annotated["title"]]
     labels = [t.split() for t in annotated["title_tags"]]
     return PerceptronTagger(CONCEPT_TAGS).fit(sents, labels, epochs=epochs, seed=seed)
-
-
-def concept_label_lexicon(onto: Ontology) -> Dict[str, str]:
-    """surface label → concept node id, over all concept taxonomies."""
-    return Lexicon.of(onto).concept_label_node
 
 
 def extract_concept_links(

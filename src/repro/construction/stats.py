@@ -19,7 +19,7 @@ import pandas as pd
 import pyspark.sql.functions as F
 
 from repro.core import schema as S
-from repro.construction.assemble import OpenBG, triple_counts_by_relation
+from repro.construction.assemble import OpenBG
 
 
 def overall_stats(kg: OpenBG) -> Dict[str, int]:
@@ -53,8 +53,20 @@ def taxonomy_stats(kg: OpenBG) -> pd.DataFrame:
 
 
 def relation_stats(kg: OpenBG) -> Dict[str, int]:
-    """Triple counts for every named relation + the two families."""
-    return triple_counts_by_relation(kg)
+    """Triple counts for every named relation + the two families
+    (inMarket* and the attr:* product attributes collapsed to one name)."""
+    rows = (
+        kg.triples.withColumn(
+            "rel",
+            F.when(F.col("r").startswith("inMarket:"), F.lit("inMarket*"))
+            .when(F.col("r").startswith("attr:"), F.lit("productAttributes"))
+            .otherwise(F.col("r")),
+        )
+        .groupBy("rel")
+        .agg(F.count("*").alias("n"))
+        .collect()
+    )
+    return {r["rel"]: r["n"] for r in rows}
 
 
 def kind_stats(kg: OpenBG) -> Dict[str, int]:

@@ -2,11 +2,11 @@
 import pytest
 
 from repro.core.config import TEST_CONFIG
+from repro.construction.lexicon import Lexicon
 from repro.construction.concepts import (
     CONCEPT_TAGS,
     ROOT_TO_RELATION,
     annotation_split,
-    concept_label_lexicon,
     extract_concept_links,
     extraction_quality,
     tagger_quality,
@@ -27,14 +27,14 @@ def world():
 @pytest.fixture(scope="module")
 def trained(world):
     _, _, cat = world
-    ann, rest = annotation_split(cat, TEST_CONFIG, frac=0.5)
+    ann, rest = annotation_split(cat, frac=0.5)
     tagger = train_concept_tagger(ann, epochs=4, seed=0)
     return ann, rest, tagger
 
 
 def test_annotation_split_partitions(world):
     _, _, cat = world
-    ann, rest = annotation_split(cat, TEST_CONFIG, frac=0.5)
+    ann, rest = annotation_split(cat, frac=0.5)
     assert len(ann) + len(rest) == len(cat.products)
     assert not set(ann["product_id"]) & set(rest["product_id"])
 
@@ -54,7 +54,7 @@ def test_tagger_f1_on_heldout(trained):
 
 def test_concept_lexicon_covers_all_concepts(world):
     onto, _, _ = world
-    lex = concept_label_lexicon(onto)
+    lex = Lexicon.of(onto).concept_label_node
     assert len(lex) == onto.n_core_concepts
     assert all(v.split(":")[0] in ("scene", "crowd", "theme", "time", "mseg") for v in lex.values())
 
@@ -64,7 +64,7 @@ def test_distributed_extraction_quality(spark, world, trained):
     onto, _, cat = world
     _, _, tagger = trained
     titles = spark.createDataFrame(cat.products[["product_id", "title"]])
-    links = extract_concept_links(spark, titles, tagger, concept_label_lexicon(onto))
+    links = extract_concept_links(spark, titles, tagger, Lexicon.of(onto).concept_label_node)
 
     # ground truth restricted to concepts that appear in the title
     label_of = {}
@@ -88,7 +88,7 @@ def test_extracted_relations_match_roots(spark, world, trained):
     _, _, tagger = trained
     titles = spark.createDataFrame(cat.products[["product_id", "title"]].head(50))
     links = extract_concept_links(
-        spark, titles, tagger, concept_label_lexicon(onto)
+        spark, titles, tagger, Lexicon.of(onto).concept_label_node
     ).toPandas()
     assert links["r"].isin(set(ROOT_TO_RELATION.values())).all()
     # relation ↔ target taxonomy consistency
