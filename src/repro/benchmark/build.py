@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
-from collections import Counter
 from typing import Dict, Iterator, List, Optional
 
 import numpy as np
@@ -179,6 +178,49 @@ def refine_relations(pool: DataFrame, n_rel: int) -> List[str]:
     return _rank_relations(pool)[:n_rel]
 
 
+def split_benchmark(
+    sampled_pdf: pd.DataFrame, spec: BenchmarkSpec
+) -> Dict[str, pd.DataFrame]:
+    """Leakage-guarded train/dev/test split (driver-side).
+
+    The input carries a deterministic ``_k`` rank key computed in Spark;
+    the size-bounded sample is split here in pandas.  Eval triples whose
+    head, tail, or relation never occurs in train are demoted to train
+    (standard KGC protocol — no unseen-entity evaluation), so eval
+    splits may come out slightly under target; measured sizes are what
+    Table II reports.
+    """
+    df = sampled_pdf.sort_values(["_k", "h", "r", "t"]).reset_index(drop=True)
+    n_eval = spec.n_dev + spec.n_test
+
+    # Greedy scan in rank order: a row may go to eval only if all of its
+    # h / t / r still occur ≥2 times among the not-yet-evaluated rows —
+    # guaranteeing at least one training occurrence survives.
+    from collections import Counter
+
+    h_cnt = Counter(df["h"])
+    t_cnt = Counter(df["t"])
+    r_cnt = Counter(df["r"])
+    eval_idx: List[int] = []
+    for i, (h, r, t) in enumerate(df[["h", "r", "t"]].itertuples(index=False)):
+        if len(eval_idx) >= n_eval:
+            break
+        if h_cnt[h] >= 2 and t_cnt[t] >= 2 and r_cnt[r] >= 2:
+            eval_idx.append(i)
+            h_cnt[h] -= 1
+            t_cnt[t] -= 1
+            r_cnt[r] -= 1
+    eval_rows = df.iloc[eval_idx][["h", "r", "t"]]
+    train = df.drop(index=eval_idx)[["h", "r", "t"]]
+    dev = eval_rows.iloc[: spec.n_dev]
+    test = eval_rows.iloc[spec.n_dev : spec.n_dev + spec.n_test]
+    return {
+        "train": train.reset_index(drop=True),
+        "dev": dev.reset_index(drop=True),
+        "test": test.reset_index(drop=True),
+    }
+
+
 def build_benchmark(
     kg: OpenBG,
     spec: BenchmarkSpec,
@@ -254,47 +296,6 @@ def build_benchmark(
         relations=relations,
         multimodal_entities=n_mm,
     )
-
-
-def split_benchmark(
-    sampled_pdf: pd.DataFrame, spec: BenchmarkSpec
-) -> Dict[str, pd.DataFrame]:
-    """Leakage-guarded train/dev/test split (driver-side).
-
-    The input carries a deterministic ``_k`` rank key computed in Spark;
-    the size-bounded sample is split here in pandas.  Eval triples whose
-    head, tail, or relation never occurs in train are demoted to train
-    (standard KGC protocol — no unseen-entity evaluation), so eval
-    splits may come out slightly under target; measured sizes are what
-    Table II reports.
-    """
-    df = sampled_pdf.sort_values(["_k", "h", "r", "t"]).reset_index(drop=True)
-    n_eval = spec.n_dev + spec.n_test
-
-    # Greedy scan in rank order: a row may go to eval only if all of its
-    # h / t / r still occur ≥2 times among the not-yet-evaluated rows —
-    # guaranteeing at least one training occurrence survives.
-    h_cnt = Counter(df["h"])
-    t_cnt = Counter(df["t"])
-    r_cnt = Counter(df["r"])
-    eval_idx: List[int] = []
-    for i, (h, r, t) in enumerate(df[["h", "r", "t"]].itertuples(index=False)):
-        if len(eval_idx) >= n_eval:
-            break
-        if h_cnt[h] >= 2 and t_cnt[t] >= 2 and r_cnt[r] >= 2:
-            eval_idx.append(i)
-            h_cnt[h] -= 1
-            t_cnt[t] -= 1
-            r_cnt[r] -= 1
-    eval_rows = df.iloc[eval_idx][["h", "r", "t"]]
-    train = df.drop(index=eval_idx)[["h", "r", "t"]]
-    dev = eval_rows.iloc[: spec.n_dev]
-    test = eval_rows.iloc[spec.n_dev : spec.n_dev + spec.n_test]
-    return {
-        "train": train.reset_index(drop=True),
-        "dev": dev.reset_index(drop=True),
-        "test": test.reset_index(drop=True),
-    }
 
 
 def build_all_benchmarks(kg: OpenBG, boost: float = 1.0) -> Dict[str, Benchmark]:
