@@ -9,9 +9,13 @@ deterministic, and genuinely trained on the synthetic annotations.
 
 Implementation note: emission weights live in a dynamically-grown
 ``(n_features, n_tags)`` matrix keyed by a feature-string → row index
-dict, so scoring a token is a handful of row gathers + one vector sum
-instead of |features|·|tags| dict lookups — the difference between
-seconds and hours at experiment scale.
+dict.  Decoding a sentence gathers the rows of all its tokens' features
+at once and sums them per token into one ``(n, n_tags)`` emission
+matrix; each Viterbi step is then a few whole-array operations.  ``fit``
+computes every training sentence's feature strings once and reuses them
+in each epoch's decode and update.  Training and decoding give the same
+numbers as scoring one token at a time: each token's rows are summed in
+feature order, and each step adds the same terms in the same order.
 
 Also home to the BIO span utilities and the one micro P/R/F, used by
 the construction pipeline and by the NER and IE downstream tasks
@@ -57,6 +61,7 @@ class PerceptronTagger:
     def __init__(self, tags: List[str], feature_fn=token_features):
         self.tags = list(tags)
         self.feature_fn = feature_fn
+        self._tag_idx = {t: j for j, t in enumerate(self.tags)}
         T = len(self.tags)
         self._feat_idx: Dict[str, int] = {}
         self._W = np.zeros((256, T))
@@ -67,58 +72,75 @@ class PerceptronTagger:
         self._steps = 0
 
     # ---- feature rows -----------------------------------------------------
-    def _row(self, feat: str, create: bool) -> int:
+    def _row(self, feat: str) -> int:
         idx = self._feat_idx.get(feat)
         if idx is None:
-            if not create:
-                return -1
             idx = len(self._feat_idx)
-            if idx >= self._W.shape[0]:
+            # keep row len(_feat_idx) allocated: it is the zero row
+            # _emissions reads for unknown features and padding
+            if idx + 1 >= self._W.shape[0]:
                 grow = np.zeros((self._W.shape[0], self._W.shape[1]))
                 self._W = np.concatenate([self._W, grow])
                 self._W_tot = np.concatenate([self._W_tot, grow.copy()])
             self._feat_idx[feat] = idx
         return idx
 
-    def _emission(self, feats: List[str]) -> np.ndarray:
-        rows = [r for f in feats if (r := self._row(f, create=False)) >= 0]
-        if not rows:
-            return np.zeros(len(self.tags))
-        return self._W[rows].sum(axis=0)
+    def _features(self, tokens: Sequence[str]) -> List[List[str]]:
+        return [self.feature_fn(tokens, i) for i in range(len(tokens))]
+
+    def _emissions(self, feats: List[List[str]]) -> np.ndarray:
+        """``(n, T)`` emission scores: each token's weight rows summed in
+        feature order.  Unknown features and the padding that makes the
+        row matrix rectangular read the zero row past the last feature,
+        and adding 0.0 leaves every sum unchanged."""
+        zero = len(self._feat_idx)
+        get = self._feat_idx.get
+        width = max(map(len, feats))
+        rows = np.array(
+            [[get(f, zero) for f in fs] + [zero] * (width - len(fs)) for fs in feats],
+            dtype=np.intp,
+        )
+        return self._W[rows].sum(axis=1)
 
     # ---- decoding ---------------------------------------------------------
-    def viterbi(self, tokens: Sequence[str]) -> List[str]:
-        n, T = len(tokens), len(self.tags)
+    def _decode(self, feats: List[List[str]]) -> List[int]:
+        """Viterbi path as tag indices.  The DP step runs in a [cur, prev]
+        layout so that the argmax over prev is along a contiguous axis;
+        ``em`` joins each block before the argmax, as in (prev + tr) + em."""
+        n, T = len(feats), len(self.tags)
         if n == 0:
             return []
-        delta = np.zeros((n, T))
-        back = np.zeros((n, T), dtype=int)
-        tr = self._trans[1:]  # (T, T) prev → cur
-        delta[0] = self._emission(self.feature_fn(tokens, 0)) + self._trans[0]
+        em = self._emissions(feats)
+        trT = np.ascontiguousarray(self._trans[1:].T)  # [cur, prev]
+        cols = np.arange(T)
+        delta = em[0] + self._trans[0]
+        back = []
         for i in range(1, n):
-            em = self._emission(self.feature_fn(tokens, i))
-            scores = delta[i - 1][:, None] + tr + em[None, :]
-            back[i] = scores.argmax(axis=0)
-            delta[i] = scores.max(axis=0)
-        path = [int(delta[-1].argmax())]
-        for i in range(n - 1, 0, -1):
-            path.append(int(back[i][path[-1]]))
-        return [self.tags[j] for j in reversed(path)]
+            s = trT + delta
+            s += em[i][:, None]
+            b = s.argmax(1)
+            back.append(b)
+            delta = s[cols, b]
+        path = [int(delta.argmax())]
+        for b in reversed(back):
+            path.append(int(b[path[-1]]))
+        return path[::-1]
+
+    def viterbi(self, tokens: Sequence[str]) -> List[str]:
+        return [self.tags[j] for j in self._decode(self._features(tokens))]
 
     # ---- training ---------------------------------------------------------
-    def _update(self, tokens: Sequence[str], gold: Sequence[str], pred: Sequence[str]) -> None:
+    def _update(self, feats: List[List[str]], gold: List[int], pred: List[int]) -> None:
         # Collins' averaging trick: accumulate (t-1)·delta so that
         # w_avg = w - accum/T equals the true running average; _steps
         # counts *every* example (fit increments it), so correct streaks
         # weight the settled parameters.
         ts = self._steps - 1
-        ti = {t: j for j, t in enumerate(self.tags)}
         prev_g = prev_p = 0  # START row
-        for i, (g, p) in enumerate(zip(gold, pred)):
-            gj, pj = ti[g], ti[p]
+        for fs, gj, pj in zip(feats, gold, pred):
             if gj != pj:
-                for f in self.feature_fn(tokens, i):
-                    r = self._row(f, create=True)
+                for f in fs:
+                    r = self._row(f)
                     self._W[r, gj] += 1.0
                     self._W[r, pj] -= 1.0
                     self._W_tot[r, gj] += ts
@@ -138,15 +160,18 @@ class PerceptronTagger:
         epochs: int = 5,
         seed: int = 0,
     ) -> "PerceptronTagger":
+        # every epoch's decode and update reuse these
+        feats = [self._features(s) for s in sentences]
+        gold = [[self._tag_idx[t] for t in tags] for tags in labels]
         g = np.random.default_rng(seed)
         idx = np.arange(len(sentences))
         for _ in range(epochs):
             g.shuffle(idx)
             for j in idx:
                 self._steps += 1
-                pred = self.viterbi(sentences[j])
-                if pred != list(labels[j]):
-                    self._update(sentences[j], labels[j], pred)
+                pred = self._decode(feats[j])
+                if pred != gold[j]:
+                    self._update(feats[j], gold[j], pred)
         if self._steps:
             self._W -= self._W_tot / self._steps
             self._trans -= self._trans_tot / self._steps
@@ -190,8 +215,9 @@ class PerceptronTagger:
 
     def __setstate__(self, state):
         self.tags, self.feature_fn, self._feat_idx, W, trans = state
+        self._tag_idx = {t: j for j, t in enumerate(self.tags)}
         T = len(self.tags)
-        self._W = W if len(W) else np.zeros((256, T))
+        self._W = np.concatenate([W, np.zeros((1, T))])  # the zero row
         self._W_tot = np.zeros_like(self._W)
         self._trans = trans
         self._trans_tot = np.zeros_like(trans)

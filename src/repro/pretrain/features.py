@@ -43,17 +43,7 @@ class TokenEmbeddings:
 
         freq = Counter(t for sent in corpus for t in sent)
         vocab = {t: i for i, (t, _) in enumerate(freq.most_common(MAX_VOCAB))}
-        V = len(vocab)
-        C = np.zeros((V, V))
-        for sent in corpus:
-            idx = [vocab.get(t, -1) for t in sent]
-            for i, a in enumerate(idx):
-                if a < 0:
-                    continue
-                for j in range(max(0, i - WINDOW), min(len(idx), i + WINDOW + 1)):
-                    b = idx[j]
-                    if b >= 0 and j != i:
-                        C[a, b] += 1.0
+        C = cooccurrence(corpus, vocab)
         # PPMI
         total = C.sum() + 1e-9
         row = C.sum(axis=1, keepdims=True) + 1e-9
@@ -75,6 +65,23 @@ class TokenEmbeddings:
         mean = np.mean(vecs, axis=0) if vecs else np.zeros(self.dim)
         oov = 1.0 - (len(vecs) / max(1, len(tokens)))
         return np.concatenate([mean, [oov]])
+
+
+def cooccurrence(corpus: List[Sequence[str]], vocab: Dict[str, int]) -> np.ndarray:
+    """``(V, V)`` float counts of in-vocabulary token pairs at most
+    ``WINDOW`` apart in one sentence, each pair counted both ways."""
+    V = len(vocab)
+    ids = np.array([vocab.get(t, -1) for sent in corpus for t in sent], dtype=np.int64)
+    sid = np.repeat(np.arange(len(corpus)), [len(s) for s in corpus])
+    keys = []
+    for d in range(1, WINDOW + 1):
+        a, b = ids[:-d], ids[d:]
+        ok = (sid[:-d] == sid[d:]) & (a >= 0) & (b >= 0)
+        a, b = a[ok], b[ok]
+        keys += [a * V + b, b * V + a]
+    keys = np.concatenate(keys)
+    # float weights: the counts come out as float64 without an int64 V² copy
+    return np.bincount(keys, weights=np.ones(len(keys)), minlength=V * V).reshape(V, V)
 
 
 def _randomized_svd(A: np.ndarray, dim: int, seed: int) -> np.ndarray:

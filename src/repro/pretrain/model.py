@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 import pandas as pd
@@ -44,6 +44,23 @@ from repro.pretrain.features import TokenEmbeddings, hashed_bow, kmeans_clusters
 
 #: Width of the hashed bag-of-words channel every variant's encoding carries.
 BOW_DIM = 32
+
+
+def token_logpriors(counts: Iterable[pd.DataFrame]) -> Dict[str, Dict[str, float]]:
+    """token → category → log((n + 0.1) / (Σ_token n + 1)) from per-source
+    ``(token, category, n)`` count frames.
+
+    Tokens enter in sorted order within each source, categories in row
+    order; a (token, category) seen again in a later source overwrites
+    the value and keeps its place, which :meth:`KGFeatures.category_prior`
+    reads when it sums ``exp`` over a token's values."""
+    token_cat: Dict[str, Dict[str, float]] = {}
+    for c in counts:
+        c = c.sort_values("token", kind="stable")
+        tot = c.groupby("token")["n"].transform("sum")
+        for token, cat, n, t in zip(c["token"], c["category"], c["n"], tot):
+            token_cat.setdefault(token, {})[cat] = math.log((n + 0.1) / (t + 1.0))
+    return token_cat
 
 
 @dataclasses.dataclass(frozen=True)
@@ -88,19 +105,13 @@ class KGFeatures(Lexicon):
         if len(concepts):
             sources.append(spark.createDataFrame(concepts))
 
-        token_cat: Dict[str, Dict[str, float]] = {}
-        for src in sources:
-            counts = (
-                src.join(prod_cat, on="product_id")
-                .groupBy("token", "category")
-                .agg(F.count("*").alias("n"))
-                .toPandas()
-            )
-            for token, grp in counts.groupby("token"):
-                tot = grp["n"].sum()
-                d = token_cat.setdefault(token, {})
-                for c, n in grp[["category", "n"]].itertuples(index=False):
-                    d[c] = math.log((n + 0.1) / (tot + 1.0))
+        token_cat = token_logpriors(
+            src.join(prod_cat, on="product_id")
+            .groupBy("token", "category")
+            .agg(F.count("*").alias("n"))
+            .toPandas()
+            for src in sources
+        )
 
         # ---- Spark: facet statistics for salience ------------------------
         links = spark.createDataFrame(cat.concept_links)

@@ -1,5 +1,9 @@
 """Tests for the pre-training substrate (corpora, KG features, grid)."""
+import math
+from collections import Counter
+
 import numpy as np
+import pandas as pd
 import pytest
 
 from repro.core.config import TEST_CONFIG
@@ -9,6 +13,8 @@ from repro.pretrain.corpus import (
     supervised_pairs,
     unsupervised_texts,
 )
+from repro.pretrain.features import MAX_VOCAB, WINDOW, cooccurrence
+from repro.pretrain.model import token_logpriors
 
 
 @pytest.fixture(scope="module")
@@ -104,3 +110,72 @@ def test_encode_shapes(grid):
     for m in grid.values():
         v = m.encode(["noise_hot", "unseen_zzz"])
         assert v.shape == (m.feature_dim,)
+
+
+def _reference_cooccurrence(corpus, vocab):
+    """The per-token loop :func:`cooccurrence` replaced."""
+    V = len(vocab)
+    C = np.zeros((V, V))
+    for sent in corpus:
+        idx = [vocab.get(t, -1) for t in sent]
+        for i, a in enumerate(idx):
+            if a < 0:
+                continue
+            for j in range(max(0, i - WINDOW), min(len(idx), i + WINDOW + 1)):
+                b = idx[j]
+                if b >= 0 and j != i:
+                    C[a, b] += 1.0
+    return C
+
+
+def test_cooccurrence_matches_reference(world):
+    kg, reviews = world
+    corpus = unsupervised_texts(kg, reviews) + kg_text_corpus(kg) + general_texts()
+    freq = Counter(t for sent in corpus for t in sent)
+    for top in (MAX_VOCAB, 500):  # the second leaves tokens out of vocabulary
+        vocab = {t: i for i, (t, _) in enumerate(freq.most_common(top))}
+        C = cooccurrence(corpus, vocab)
+        assert C.dtype == np.float64
+        assert np.array_equal(C, _reference_cooccurrence(corpus, vocab))
+    tiny = [[], ["a"], ["a", "a", "oov", "b"], ["b", "a"], ["b"]]
+    small = {"a": 0, "b": 1}
+    assert np.array_equal(cooccurrence(tiny, small), _reference_cooccurrence(tiny, small))
+    assert cooccurrence([], {}).shape == (0, 0)
+
+
+def _reference_logpriors(counts):
+    """The groupby/itertuples loop :func:`token_logpriors` replaced."""
+    token_cat = {}
+    for c in counts:
+        for token, grp in c.groupby("token"):
+            tot = grp["n"].sum()
+            d = token_cat.setdefault(token, {})
+            for cat, n in grp[["category", "n"]].itertuples(index=False):
+                d[cat] = math.log((n + 0.1) / (tot + 1.0))
+    return token_cat
+
+
+def test_token_logpriors_match_reference(world):
+    """Same values and the same token and category order, over count
+    frames in arbitrary row order, with tokens and (token, category)
+    pairs repeated across sources."""
+    kg, _ = world
+    cat = kg.catalog
+    g = np.random.default_rng(0)
+
+    def counts(df):
+        c = df.groupby(["token", "category"]).size().rename("n").reset_index()
+        return c.iloc[g.permutation(len(c))].reset_index(drop=True)
+
+    prods = cat.products[["product_id", "category"]]
+    brands = counts(cat.products.dropna(subset=["brand_surface"]).rename(
+        columns={"brand_surface": "token"}))
+    values = counts(cat.attributes.rename(columns={"value": "token"}).merge(prods))
+    again = brands.sample(frac=0.5, random_state=1).assign(n=lambda d: d["n"] + 3)
+    frames = [brands, values, again]
+    new, ref = token_logpriors(frames), _reference_logpriors(frames)
+    assert len(again) > 0 and len(new) > 100
+    assert [(t, list(d.items())) for t, d in new.items()] == [
+        (t, list(d.items())) for t, d in ref.items()
+    ]
+    assert token_logpriors([pd.DataFrame(columns=["token", "category", "n"])]) == {}
