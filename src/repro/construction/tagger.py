@@ -13,9 +13,21 @@ dict.  Decoding a sentence gathers the rows of all its tokens' features
 at once and sums them per token into one ``(n, n_tags)`` emission
 matrix; each Viterbi step is then a few whole-array operations.  ``fit``
 computes every training sentence's feature strings once and reuses them
-in each epoch's decode and update.  Training and decoding give the same
-numbers as scoring one token at a time: each token's rows are summed in
-feature order, and each step adds the same terms in the same order.
+in each epoch's decode and update, and copies the transitions into the
+step's [cur, prev] layout once, and again only after an update.
+Training and decoding give the same numbers as scoring one token at a
+time: each token's rows are summed in feature order, and each step adds
+the same terms in the same order.
+
+While ``fit`` trains, its step is shorter.  Until averaging, every weight
+and transition is a sum of ±1.0 updates, a whole number far below 2**53,
+so every DP sum is exact.  Adding the token's emission after the argmax
+over prev then gives the same back-pointers and the same scores as
+adding it inside the block: one (T, T) pass per token instead of two.
+``predict`` keeps the emission inside the block, because averaged
+weights are not whole and a sum that rounds can tie where the parts did
+not.  ``fit`` checks its starting weights once and keeps that step too
+unless they are all whole numbers (a second ``fit``, hand-set weights).
 
 Also home to the BIO span utilities and the one micro P/R/F, used by
 the construction pipeline and by the NER and IE downstream tasks
@@ -48,6 +60,12 @@ def token_features(tokens: Sequence[str], i: int) -> List[str]:
         f"next={nxt}",
         f"haspunct={'_' in w}",
     ]
+
+
+def _whole(a: np.ndarray) -> bool:
+    """All entries whole numbers small enough that sums of them stay
+    exact (NaN and ±inf fail the bound)."""
+    return bool(np.all(np.abs(a) <= 2.0 ** 32) and np.all(a == np.rint(a)))
 
 
 class PerceptronTagger:
@@ -103,31 +121,47 @@ class PerceptronTagger:
         return self._W[rows].sum(axis=1)
 
     # ---- decoding ---------------------------------------------------------
-    def _decode(self, feats: List[List[str]]) -> List[int]:
-        """Viterbi path as tag indices.  The DP step runs in a [cur, prev]
-        layout so that the argmax over prev is along a contiguous axis;
-        ``em`` joins each block before the argmax, as in (prev + tr) + em."""
+    def _trans_cur_prev(self) -> np.ndarray:
+        """The transitions out of every tag as one contiguous [cur, prev]
+        block, the layout of the DP step."""
+        return np.ascontiguousarray(self._trans[1:].T)
+
+    def _decode(self, feats: List[List[str]], trT: np.ndarray, exact: bool = False) -> List[int]:
+        """Viterbi path as tag indices, with ``trT`` from ``_trans_cur_prev``.
+        The step runs in a [cur, prev] layout so that the argmax over prev
+        is along a contiguous axis.  ``em`` joins each block before the
+        argmax, as in (prev + tr) + em, unless ``exact``: with whole-number
+        weights it is added to the maxima instead (see the module note)."""
         n, T = len(feats), len(self.tags)
         if n == 0:
             return []
         em = self._emissions(feats)
-        trT = np.ascontiguousarray(self._trans[1:].T)  # [cur, prev]
         cols = np.arange(T)
         delta = em[0] + self._trans[0]
         back = []
-        for i in range(1, n):
-            s = trT + delta
-            s += em[i][:, None]
-            b = s.argmax(1)
-            back.append(b)
-            delta = s[cols, b]
+        if exact:
+            s = np.empty((T, T))
+            for i in range(1, n):
+                np.add(trT, delta, out=s)
+                b = s.argmax(1)
+                back.append(b)
+                delta = s[cols, b]
+                delta += em[i]
+        else:
+            for i in range(1, n):
+                s = trT + delta
+                s += em[i][:, None]
+                b = s.argmax(1)
+                back.append(b)
+                delta = s[cols, b]
         path = [int(delta.argmax())]
         for b in reversed(back):
             path.append(int(b[path[-1]]))
         return path[::-1]
 
     def viterbi(self, tokens: Sequence[str]) -> List[str]:
-        return [self.tags[j] for j in self._decode(self._features(tokens))]
+        feats = self._features(tokens)
+        return [self.tags[j] for j in self._decode(feats, self._trans_cur_prev())]
 
     # ---- training ---------------------------------------------------------
     def _update(self, feats: List[List[str]], gold: List[int], pred: List[int]) -> None:
@@ -163,15 +197,18 @@ class PerceptronTagger:
         # every epoch's decode and update reuse these
         feats = [self._features(s) for s in sentences]
         gold = [[self._tag_idx[t] for t in tags] for tags in labels]
+        exact = _whole(self._W) and _whole(self._trans)
+        trT = self._trans_cur_prev()
         g = np.random.default_rng(seed)
         idx = np.arange(len(sentences))
         for _ in range(epochs):
             g.shuffle(idx)
             for j in idx:
                 self._steps += 1
-                pred = self._decode(feats[j])
+                pred = self._decode(feats[j], trT, exact)
                 if pred != gold[j]:
                     self._update(feats[j], gold[j], pred)
+                    trT = self._trans_cur_prev()
         if self._steps:
             self._W -= self._W_tot / self._steps
             self._trans -= self._trans_tot / self._steps
@@ -246,9 +283,10 @@ def bio_spans(tags: Sequence[str]) -> Set[Tuple[int, int, str]]:
 
 def micro_prf(gold: Iterable[Set], pred: Iterable[Set]) -> Tuple[float, float, float]:
     """Micro-averaged precision/recall/F1 of predicted against gold item
-    sets (spans, triples, …), counted over all examples."""
+    sets (spans, triples, …), counted over all examples.  ``gold`` and
+    ``pred`` must have the same length: a mismatch raises ValueError."""
     tp = fp = fn = 0
-    for gs, ps in zip(gold, pred):
+    for gs, ps in zip(gold, pred, strict=True):
         tp += len(gs & ps)
         fp += len(ps - gs)
         fn += len(gs - ps)

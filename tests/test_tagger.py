@@ -8,6 +8,7 @@ from repro.construction.tagger import (
     START,
     PerceptronTagger,
     bio_spans,
+    micro_prf,
     span_prf,
     token_features,
 )
@@ -54,6 +55,13 @@ def test_span_prf_half():
 def test_span_prf_empty_pred():
     prec, rec, f1 = span_prf([["B-X"]], [["O"]])
     assert (prec, rec, f1) == (0.0, 0.0, 0.0)
+
+
+def test_micro_prf_rejects_length_mismatch():
+    with pytest.raises(ValueError):
+        micro_prf([{1}, {2}], [{1}])
+    with pytest.raises(ValueError):
+        span_prf([["B-X"]], [["B-X"], ["O"]])
 
 
 def _toy_data():
@@ -201,6 +209,8 @@ class _ReferenceTagger:
         if self._steps:
             self._W -= self._W_tot / self._steps
             self._trans -= self._trans_tot / self._steps
+            self._W_tot[:] = 0.0
+            self._trans_tot[:] = 0.0
         return self
 
     def weights_dict(self) -> Dict[Tuple[str, str], float]:
@@ -290,16 +300,55 @@ def test_tagger_edge_cases_match_reference():
     assert one.predict(["acme", "unseen"]) == ["O", "O"]
 
 
-def test_decode_rounding_ties_match_reference():
-    """The DP step adds the emission before the argmax: 1 + 2^-52 beats 1
-    on its own, but both round to 2 once the emission 1.0 is added, and
-    the tie then goes to the first tag, as in the reference."""
+def _rounding_tie_taggers():
+    """A tagger and its reference whose START transitions differ by one
+    ulp, 1 + 2^-52 against 1; the emission 1.0 rounds both sums to 2."""
     taggers = [cls(["A", "B"], _identity_only) for cls in (PerceptronTagger, _ReferenceTagger)]
     for tg in taggers:
         tg._feat_idx["w=x"] = 0
         tg._W[0] = 1.0
         tg._trans[0] = [1.0, 1.0 + 2.0 ** -52]
+    return taggers
+
+
+def test_decode_rounding_ties_match_reference():
+    """The DP step adds the emission before the argmax: 1 + 2^-52 beats 1
+    on its own, but both round to 2 once the emission 1.0 is added, and
+    the tie then goes to the first tag, as in the reference."""
+    taggers = _rounding_tie_taggers()
     assert [tg.predict(["_a", "x"]) for tg in taggers] == [["A", "A"]] * 2
+
+
+def test_fit_on_non_whole_weights_matches_reference():
+    """``fit`` adds the emission after the argmax only when its starting
+    weights are whole numbers.  Here they are not: that step would keep
+    1 + 2^-52 ahead of 1, decode B A and update, where the reference
+    ties at 2, decodes the gold A A and leaves the weights alone."""
+    taggers = _rounding_tie_taggers()
+    for tg in taggers:
+        tg.fit([["_a", "x"]], [["A", "A"]], epochs=1)
+    new, ref = taggers
+    assert new.weights_dict() == ref.weights_dict()
+    assert new.transitions_dict() == ref.transitions_dict()
+
+
+def test_refit_matches_reference(kg):
+    """A second ``fit`` starts from averaged weights and zeroed
+    accumulators, on other data with another seed."""
+    from repro.construction.concepts import CONCEPT_TAGS
+
+    p = kg.catalog.products
+    data = [(t.split(), g.split()) for t, g in zip(p["title"], p["title_tags"])]
+    q = len(data) // 4
+    first, second, probe = data[:q], data[q:2 * q], [s for s, _ in data[2 * q:]]
+    new = PerceptronTagger(CONCEPT_TAGS)
+    ref = _ReferenceTagger(CONCEPT_TAGS)
+    for tg in (new, ref):
+        for part, seed in ((first, 0), (second, 1)):
+            tg.fit([s for s, _ in part], [t for _, t in part], epochs=3, seed=seed)
+    assert new.weights_dict() == ref.weights_dict()
+    assert new.transitions_dict() == ref.transitions_dict()
+    assert [new.predict(s) for s in probe] == [ref.predict(s) for s in probe]
 
 
 def test_unpickled_tagger_decodes_unknown_features():
