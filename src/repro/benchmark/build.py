@@ -38,7 +38,7 @@ import pyspark.sql.functions as F
 from pyspark.sql import DataFrame
 
 from repro.core import schema as S
-from repro.core.config import PAPER_BENCHMARKS, ScaledConfig
+from repro.core.config import ScaledConfig
 from repro.construction.assemble import OpenBG
 
 #: Denominator of the deterministic-sampling hash bucket.
@@ -105,10 +105,7 @@ def default_specs(cfg: ScaledConfig, boost: float = 1.0) -> Dict[str, BenchmarkS
         ("OpenBG500", False),
         ("OpenBG500-L", False),
     ):
-        t = {
-            k: max(1, int(round(v * cfg.scale * boost)))
-            for k, v in PAPER_BENCHMARKS[name].items()
-        }
+        t = cfg.benchmark_targets(name, boost)
         out[name] = BenchmarkSpec(
             name=name,
             n_rel=cfg.benchmark_n_rel(name),

@@ -140,18 +140,14 @@ class KGEModel:
         epochs: int = 30,
         batch_size: int = 512,
         neg_k: int = 4,
-        verbose: bool = False,
     ) -> "KGEModel":
         train = data.train
-        for ep in range(epochs):
+        for _ in range(epochs):
             order = self.rng.permutation(len(train))
-            total = 0.0
             for s in range(0, len(train), batch_size):
                 pos = train[order[s : s + batch_size]]
                 neg = negative_sample(pos, self.n_ent, neg_k, self.rng, data.known_keys)
-                total += self.train_step(pos, neg)
-            if verbose:
-                print(f"[{self.name}] epoch {ep} loss {total:.3f}")
+                self.train_step(pos, neg)
         return self
 
 

@@ -18,8 +18,9 @@ mPLUG-large+KG     domain+KG   64    yes
 
 "domain+KG" pre-training additionally folds the X_sup prompt corpus
 into the embedding fit; "yes" KG features expose gazetteers, category
-log-priors (Spark aggregations over the full KG) and statement
-statistics to the task heads.
+log-priors (Spark aggregations over the catalogue's brand surfaces,
+attribute values and concept links) and statement statistics to the
+task heads.
 """
 from __future__ import annotations
 
@@ -70,7 +71,9 @@ class KGFeatures(Lexicon):
 
     ``token_cat_logprior`` maps a surface token (brand surface, value
     token, concept label) to log P(category | token) — computed with
-    Spark aggregations over KG triples joined to product categories.
+    Spark aggregations over the catalogue's ``products.brand_surface``,
+    ``attributes.value`` and ``concept_links`` (as concept labels), each
+    joined to ``products.category``; ``kg.triples`` is not read.
     ``statement_stats`` maps (category, relation, concept-node) to
     (typicality, remarkability) from the facet pipeline.
     """
@@ -83,7 +86,7 @@ class KGFeatures(Lexicon):
         lex = Lexicon.of(kg.onto)
         cat = kg.catalog
 
-        # ---- Spark: token → category log-priors over the full KG ---------
+        # ---- Spark: token → category log-priors over catalogue tokens -----
         prod_cat = spark.createDataFrame(
             cat.products[["product_id", "category"]]
         )

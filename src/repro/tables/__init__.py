@@ -1,6 +1,8 @@
 """Per-table reproduction harnesses (Tables I–VII).
 
-Each module exposes ``run(ctx) -> pandas.DataFrame`` whose rows pair
-the paper's published numbers with our measured ones, plus
-``to_markdown`` helpers used by ``jobs/make_experiments_md.py``.
+Each ``tableN`` module exposes ``run(ctx)``, whose rows pair the
+paper's published numbers with our measured ones (Table I's ``run``
+returns measured blocks that ``overall_rows``, ``taxonomy_rows`` and
+``relation_rows`` turn into frames).  ``report`` lists the sections of
+EXPERIMENTS.md and renders them for ``jobs/make_experiments_md.py``.
 """

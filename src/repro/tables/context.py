@@ -1,8 +1,9 @@
 """Shared, lazily-cached experiment context for the table harnesses.
 
-Tables I–II run at ``BENCH_CONFIG`` scale; Tables III–VII share one
-``EXP_CONFIG`` world, its benchmarks, its review corpus, and the
-foundation-model grid — built once per process.  Tables V–VII also
+Tables I–II run at ``BENCH_CONFIG`` scale (Table I's three blocks share
+one set of KG statistics); Tables III–VII share one ``EXP_CONFIG``
+world, its benchmarks, its review corpus, and the foundation-model
+grid — built once per process.  Tables V–VII also
 share their per-task sample caps and the k-shot row layout.
 """
 from __future__ import annotations
@@ -13,6 +14,7 @@ import pandas as pd
 from pyspark.sql import SparkSession
 
 from repro.benchmark.build import Benchmark, build_all_benchmarks
+from repro.construction import stats
 from repro.construction.assemble import OpenBG, build_world
 from repro.core.config import ScaledConfig
 from repro.corpus import generate_reviews
@@ -23,11 +25,12 @@ CAPS = dict(category=6000, ner=4000, summarization=4000, ie=5000)
 
 
 class ExperimentContext:
-    """Caches worlds/benchmarks/grids keyed by config identity."""
+    """Caches worlds/stats/benchmarks/grids keyed by config identity."""
 
     def __init__(self, spark: SparkSession):
         self.spark = spark
         self._worlds: Dict[tuple, OpenBG] = {}
+        self._stats: Dict[tuple, dict] = {}
         self._benches: Dict[tuple, Dict[str, Benchmark]] = {}
         self._reviews: Dict[tuple, pd.DataFrame] = {}
         self._grids: Dict[tuple, dict] = {}
@@ -43,6 +46,18 @@ class ExperimentContext:
             kg.triples.cache().count()
             self._worlds[k] = kg
         return self._worlds[k]
+
+    def stats(self, cfg: ScaledConfig) -> dict:
+        """The world's Table I statistics: overall, taxonomy, relations."""
+        k = self._key(cfg)
+        if k not in self._stats:
+            kg = self.world(cfg)
+            self._stats[k] = {
+                "overall": stats.overall_stats(kg),
+                "taxonomy": stats.taxonomy_stats(kg),
+                "relations": stats.relation_stats(kg),
+            }
+        return self._stats[k]
 
     def benchmarks(self, cfg: ScaledConfig, boost: float = 1.0) -> Dict[str, Benchmark]:
         k = self._key(cfg) + (boost,)

@@ -1,7 +1,7 @@
 """Shared machinery for the KGE tables (III and IV)."""
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict
 
 import pandas as pd
 
@@ -69,13 +69,10 @@ def run_models(
     kg: OpenBG,
     model_names: list,
     seed: int = 0,
-    budget_overrides: Optional[dict] = None,
 ) -> pd.DataFrame:
     """Train + filtered-evaluate each named model on one benchmark."""
     data = KGEDataset.from_benchmark(bench)
     budget = dict(BUDGETS[bench.spec.name])
-    if budget_overrides:
-        budget.update(budget_overrides)
     dim = budget.pop("dim")
 
     factories: Dict[str, Callable] = {}
@@ -91,24 +88,24 @@ def run_models(
     return pd.DataFrame(rows)
 
 
+#: Table III/IV metric columns: (metric, column label, decimals of ours).
+METRICS = (
+    ("hits1", "H@1", 3),
+    ("hits3", "H@3", 3),
+    ("hits10", "H@10", 3),
+    ("mr", "MR", 1),
+    ("mrr", "MRR", 3),
+)
+
+
 def merge_with_paper(measured: pd.DataFrame, paper: Dict[str, dict]) -> pd.DataFrame:
     """Interleave paper numbers with measured ones per model."""
     rows = []
     for _, r in measured.iterrows():
         p = paper.get(r["model"], {})
-        rows.append(
-            {
-                "model": r["model"],
-                "paper H@1": p.get("hits1", "-"),
-                "ours H@1": round(r["hits1"], 3),
-                "paper H@3": p.get("hits3", "-"),
-                "ours H@3": round(r["hits3"], 3),
-                "paper H@10": p.get("hits10", "-"),
-                "ours H@10": round(r["hits10"], 3),
-                "paper MR": p.get("mr", "-"),
-                "ours MR": round(r["mr"], 1),
-                "paper MRR": p.get("mrr", "-"),
-                "ours MRR": round(r["mrr"], 3),
-            }
-        )
+        row = {"model": r["model"]}
+        for metric, label, ndigits in METRICS:
+            row[f"paper {label}"] = p.get(metric, "-")
+            row[f"ours {label}"] = round(r[metric], ndigits)
+        rows.append(row)
     return pd.DataFrame(rows)

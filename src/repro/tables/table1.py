@@ -9,23 +9,37 @@ from __future__ import annotations
 
 import pandas as pd
 
-from repro.construction import stats
 from repro.core import config as C
 from repro.core.config import BENCH_CONFIG, ScaledConfig
 from repro.tables.context import ExperimentContext
 
 
 def run(ctx: ExperimentContext, cfg: ScaledConfig = BENCH_CONFIG) -> dict:
-    """Measured stats blocks + paper constants, ready for rendering."""
-    kg = ctx.world(cfg)
-    overall = stats.overall_stats(kg)
-    tax = stats.taxonomy_stats(kg)
-    rel = stats.relation_stats(kg)
-    return {"cfg": cfg, "overall": overall, "taxonomy": tax, "relations": rel}
+    """Measured stats blocks (computed once per context) + the config,
+    ready for rendering."""
+    return {"cfg": cfg, **ctx.stats(cfg)}
+
+
+def _paper_rows(
+    key: str, paper: dict, measured: dict, cfg: ScaledConfig, rel_scaled: set
+) -> pd.DataFrame:
+    """Per paper count: the count, paper × scale (``rel_scale`` for the
+    names in ``rel_scaled``, ``scale`` otherwise) and the measured value."""
+    rows = []
+    for name, p in paper.items():
+        scale = cfg.rel_scale if name in rel_scaled else cfg.scale
+        rows.append(
+            {
+                key: name,
+                "paper": p,
+                "paper x scale": int(round(p * scale)),
+                "measured": measured.get(name, 0),
+            }
+        )
+    return pd.DataFrame(rows)
 
 
 def overall_rows(res: dict) -> pd.DataFrame:
-    cfg = res["cfg"]
     paper = {
         "n_core_classes": C.PAPER_N_CORE_CLASSES,
         "n_core_concepts": C.PAPER_N_CORE_CONCEPTS,
@@ -34,22 +48,10 @@ def overall_rows(res: dict) -> pd.DataFrame:
         "n_triples": C.PAPER_N_TRIPLES,
         "n_entities": C.PAPER_N_ENTITIES,
     }
-    rows = []
-    for k, p in paper.items():
-        scale = cfg.rel_scale if k == "n_relation_types" else cfg.scale
-        rows.append(
-            {
-                "stat": k,
-                "paper": p,
-                "paper x scale": int(round(p * scale)),
-                "measured": res["overall"][k],
-            }
-        )
-    return pd.DataFrame(rows)
+    return _paper_rows("stat", paper, res["overall"], res["cfg"], {"n_relation_types"})
 
 
 def taxonomy_rows(res: dict) -> pd.DataFrame:
-    cfg = res["cfg"]
     rows = []
     for _, r in res["taxonomy"].iterrows():
         paper_levels = C.PAPER_TAXONOMY_LEVELS[r["root"]]
@@ -67,22 +69,11 @@ def taxonomy_rows(res: dict) -> pd.DataFrame:
 
 
 def relation_rows(res: dict) -> pd.DataFrame:
-    cfg = res["cfg"]
-    paper = {}
-    paper.update(C.PAPER_OBJECT_PROPERTY_COUNTS)
-    paper.update(C.PAPER_DATA_PROPERTY_COUNTS)
-    paper.update(C.PAPER_META_PROPERTY_COUNTS)
-    rows = []
+    paper = {
+        **C.PAPER_OBJECT_PROPERTY_COUNTS,
+        **C.PAPER_DATA_PROPERTY_COUNTS,
+        **C.PAPER_META_PROPERTY_COUNTS,
+    }
     #: axioms on relation *types* scale with rel_scale, not volume scale
     rel_scaled = {"rdfs:subPropertyOf", "owl:equivalentPropertyOf"}
-    for name, p in paper.items():
-        scale = cfg.rel_scale if name in rel_scaled else cfg.scale
-        rows.append(
-            {
-                "relation": name,
-                "paper": p,
-                "paper x scale": int(round(p * scale)),
-                "measured": res["relations"].get(name, 0),
-            }
-        )
-    return pd.DataFrame(rows)
+    return _paper_rows("relation", paper, res["relations"], res["cfg"], rel_scaled)

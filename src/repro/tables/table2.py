@@ -7,39 +7,36 @@ from repro.benchmark.stats import benchmark_stats
 from repro.core.config import BENCH_CONFIG, PAPER_BENCHMARKS, ScaledConfig
 from repro.tables.context import ExperimentContext
 
-COLS = ["n_ent", "n_rel", "n_train", "n_dev", "n_test"]
-
 
 def run(
     ctx: ExperimentContext, cfg: ScaledConfig = BENCH_CONFIG, boost: float = 1.0
 ) -> pd.DataFrame:
-    """One row per (benchmark × source): paper, scaled target, measured."""
+    """One row per (benchmark × stat): paper, the sampler's target, measured."""
     benches = ctx.benchmarks(cfg, boost=boost)
     rows = []
-    for name in ("OpenBG-IMG", "OpenBG500", "OpenBG500-L"):
-        paper = PAPER_BENCHMARKS[name]
-        st = benchmark_stats(benches[name])
-        for col in COLS:
-            scale = cfg.rel_scale if col == "n_rel" else cfg.scale * boost
-            rows.append(
-                {
-                    "dataset": name,
-                    "stat": col,
-                    "paper": paper[col],
-                    "target (scaled)": max(1, int(round(paper[col] * scale))),
-                    "measured": st[col],
-                }
-            )
-        if name == "OpenBG-IMG":
-            rows.append(
-                {
-                    "dataset": name,
-                    "stat": "n_ent_multimodal",
-                    "paper": paper["n_ent_multimodal"],
-                    "target (scaled)": max(
-                        1, int(round(paper["n_ent_multimodal"] * cfg.scale * boost))
-                    ),
-                    "measured": st["n_ent_multimodal"],
-                }
-            )
+    for name, paper in PAPER_BENCHMARKS.items():
+        bench = benches[name]
+        spec = bench.spec
+        target = {
+            "n_ent": spec.ent_target,
+            "n_rel": spec.n_rel,
+            "n_train": spec.train_target,
+            "n_dev": spec.n_dev,
+            "n_test": spec.n_test,
+        }
+        if spec.multimodal:
+            target["n_ent_multimodal"] = cfg.benchmark_targets(name, boost)[
+                "n_ent_multimodal"
+            ]
+        st = benchmark_stats(bench)
+        rows.extend(
+            {
+                "dataset": name,
+                "stat": col,
+                "paper": paper[col],
+                "target (scaled)": t,
+                "measured": st[col],
+            }
+            for col, t in target.items()
+        )
     return pd.DataFrame(rows)
