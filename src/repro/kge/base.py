@@ -78,8 +78,6 @@ def per_param_state(embed: Callable[["KGEModel"], np.ndarray]):
 class KGEModel:
     """Parameter store with sparse AdaGrad updates."""
 
-    name = "base"
-
     def __init__(self, n_ent: int, n_rel: int, dim: int = 32, seed: int = 0, lr: float = 0.1):
         self.n_ent, self.n_rel, self.dim, self.lr = n_ent, n_rel, dim, lr
         self.rng = np.random.default_rng(seed)

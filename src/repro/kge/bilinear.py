@@ -30,8 +30,6 @@ class DistMult(Trilinear):
     """Yang et al. 2015: s = Σ h ∘ r ∘ t (symmetric in h/t — the
     weakness the paper's results expose on asymmetric business KGs)."""
 
-    name = "DistMult"
-
     def __init__(self, n_ent, n_rel, dim=32, seed=0, lr=0.1):
         super().__init__(n_ent, n_rel, dim, seed, lr)
         self.add_param("E", (n_ent, dim))
@@ -40,8 +38,6 @@ class DistMult(Trilinear):
 
 class ComplEx(BCEModel):
     """Trouillon et al. 2016: Re⟨h, r, conj(t)⟩ over ℂ^{dim/2}."""
-
-    name = "ComplEx"
 
     def __init__(self, n_ent, n_rel, dim=32, seed=0, lr=0.1):
         assert dim % 2 == 0, "ComplEx dim must be even (re/im halves)"

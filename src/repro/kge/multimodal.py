@@ -82,14 +82,10 @@ class Visual(KGEModel):
 class TransAE(Visual, Translational):
     """Wang et al. 2019: unified embedding via visual auto-encoding."""
 
-    name = "TransAE"
-
 
 class RSME(TransAE):
     """Wang et al. 2021: relation-sensitive filter/forget gate on the
     visual channel — per-dimension sigmoid gate g ∘ (img·V)."""
-
-    name = "RSME"
 
     def __init__(self, *a, **kw):
         super().__init__(*a, **kw)
@@ -112,8 +108,6 @@ class RSME(TransAE):
 
 class MKGformerLite(Visual, Trilinear):
     """Chen et al. 2022 (lite): bilinear scoring over fused embeddings."""
-
-    name = "MKGformer"
 
 
 def image_features_for_dataset(data: KGEDataset, kg, dim: int = 16) -> np.ndarray:

@@ -70,8 +70,6 @@ class TextKGE(KGEModel):
 class KGBERTSim(TextKGE, Translational):
     """Translational scoring over projected text: -||f(h) + r − f(t)||²."""
 
-    name = "KG-BERT"
-
 
 class StARSim(TextKGE, Trilinear):
     """Siamese scoring: (f(h) ∘ g_r) · f(t), BCE-trained.
@@ -80,8 +78,6 @@ class StARSim(TextKGE, Trilinear):
     translational text model to separate logits through the frozen text
     features; 0.5 is the tuned default.
     """
-
-    name = "StAR"
 
     def __init__(self, *a, lr: float = 0.5, **kw):
         super().__init__(*a, lr=lr, **kw)
@@ -95,8 +91,6 @@ class GenKGCSim(TextKGE):
     Like the original, it is evaluated for Hits@K only (no full-ranking
     MR in the paper — Table IV prints '-').
     """
-
-    name = "GenKGC"
 
     def score_triples(self, tr: np.ndarray, E=None) -> np.ndarray:
         E = self.entity_embeddings() if E is None else E

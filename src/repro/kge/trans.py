@@ -58,8 +58,6 @@ class Translational(MarginModel):
 class TransE(Translational):
     """Bordes et al. 2013: d(h, r, t) = ||h + r − t||²."""
 
-    name = "TransE"
-
     def __init__(self, n_ent, n_rel, dim=32, seed=0, lr=0.1):
         super().__init__(n_ent, n_rel, dim, seed, lr)
         self.add_param("E", (n_ent, dim))
@@ -81,8 +79,6 @@ def _update_pairs(model: MarginModel, pa, na, gp, gn, targets) -> None:
 
 class TransH(MarginModel):
     """Wang et al. 2014: translate on the relation hyperplane w_r."""
-
-    name = "TransH"
 
     def __init__(self, n_ent, n_rel, dim=32, seed=0, lr=0.1):
         super().__init__(n_ent, n_rel, dim, seed, lr)
@@ -135,8 +131,6 @@ class TransH(MarginModel):
 
 class TransD(MarginModel):
     """Ji et al. 2015: dynamic mapping h⊥ = h + (h_p·h) r_p."""
-
-    name = "TransD"
 
     def __init__(self, n_ent, n_rel, dim=32, seed=0, lr=0.1):
         super().__init__(n_ent, n_rel, dim, seed, lr)

@@ -35,8 +35,6 @@ def _runs(rel: np.ndarray):
 
 
 class TuckER(BCEModel):
-    name = "TuckER"
-
     def __init__(self, n_ent, n_rel, dim=24, seed=0, lr=0.05):
         super().__init__(n_ent, n_rel, dim, seed, lr)
         self.add_param("E", (n_ent, dim))

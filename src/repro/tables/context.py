@@ -47,7 +47,7 @@ class ExperimentContext:
             self._worlds[k] = kg
         return self._worlds[k]
 
-    def stats(self, cfg: ScaledConfig) -> dict:
+    def kg_stats(self, cfg: ScaledConfig) -> dict:
         """The world's Table I statistics: overall, taxonomy, relations."""
         k = self._key(cfg)
         if k not in self._stats:

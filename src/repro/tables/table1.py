@@ -17,7 +17,7 @@ from repro.tables.context import ExperimentContext
 def run(ctx: ExperimentContext, cfg: ScaledConfig = BENCH_CONFIG) -> dict:
     """Measured stats blocks (computed once per context) + the config,
     ready for rendering."""
-    return {"cfg": cfg, **ctx.stats(cfg)}
+    return {"cfg": cfg, **ctx.kg_stats(cfg)}
 
 
 def _paper_rows(
