@@ -8,14 +8,24 @@ behind titles, which the bottom-up concept pipeline must re-extract),
 attribute key/values, a tokenized title with BIO ground truth, a
 comment, an image flag, and an item count.
 
-Everything is deterministic in the config seed.  Ground-truth columns
-(``brand_node``, ``title_tags``, ``concept_links``) never feed the
-construction pipelines — they exist to *score* them.
+Everything is deterministic in the config seed.  The ground-truth
+columns ``brand_node`` and ``title_tags`` only *score* the construction
+pipelines.  ``concept_links`` is ground truth too, but it does feed the
+KG today: ``assemble_openbg`` emits the relatedScene / forCrowd /
+aboutTheme / appliedTime triples straight from it, and
+``KGFeatures.build`` reads it (ROADMAP, "Build the KG's concept triples
+with the construction pipeline").
+
+Draw-order contract: every frame is a function of the sequence of calls
+on the ``catalog`` generator — each call's kind, population size,
+``size``, ``replace``, ``p`` and position.  Code around the draws
+(lookups, grouping, string formatting) may change freely; a change to
+that sequence changes every frame downstream of it.
 """
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
 import numpy as np
 import pandas as pd
@@ -58,14 +68,14 @@ class RawCatalog:
 
 def _sample_forms(
     g: np.random.Generator, forms: pd.DataFrame, nodes: np.ndarray
-) -> pd.DataFrame:
-    """Surface string + form variant for each linked node (vectorized)."""
+) -> Tuple[List[str], np.ndarray]:
+    """Surface strings and form variants, one each per linked node: one
+    form draw for all nodes, then a dict lookup per node."""
     variants = g.choice(
         list(FORM_PROBS), size=len(nodes), p=list(FORM_PROBS.values())
     )
-    lut = forms.set_index(["node_id", "form"])["surface"]
-    surf = [lut[(n, v)] for n, v in zip(nodes, variants)]
-    return pd.DataFrame({"surface": surf, "form": variants})
+    lut = dict(zip(zip(forms["node_id"], forms["form"]), forms["surface"]))
+    return [lut[key] for key in zip(nodes, variants)], variants
 
 
 def affinity_permutation(root: str, category: str, n_leaves: int) -> np.ndarray:
@@ -120,7 +130,6 @@ def generate_catalog(
     g = np.random.default_rng(cfg.derived_seed("catalog"))
     n = cfg.n_products
     cat_leaves = onto.taxonomies["Category"].leaves()
-    cat_lut = cat_leaves.set_index("node_id")["label"]
 
     category = g.choice(
         cat_leaves["node_id"].to_numpy(), size=n, p=zipf_probs(len(cat_leaves))
@@ -134,12 +143,11 @@ def generate_catalog(
             present, g.choice(leaves, size=n, p=zipf_probs(len(leaves))), None
         )
         table = forms.brand_forms if which == "Brand" else forms.place_forms
-        filled = nodes[present].astype(object)
-        sf = _sample_forms(g, table, filled)
         surface = np.full(n, None, dtype=object)
         form = np.full(n, None, dtype=object)
-        surface[present] = sf["surface"].to_numpy()
-        form[present] = sf["form"].to_numpy()
+        surface[present], form[present] = _sample_forms(
+            g, table, nodes[present].astype(object)
+        )
         return nodes, surface, form
 
     brand_node, brand_surface, brand_form = _link_class(
@@ -174,15 +182,20 @@ def generate_catalog(
     ranks = g.choice(
         N_VALUES_PER_ATTR, size=len(pidx), p=zipf_probs(N_VALUES_PER_ATTR)
     )
-    perm_cache: Dict[tuple, np.ndarray] = {}
-    values = []
-    for p_i, r, rank in zip(pidx, rels, ranks):
-        key = (r, category[p_i])
-        perm = perm_cache.get(key)
-        if perm is None:
-            perm = affinity_permutation(r, category[p_i], N_VALUES_PER_ATTR)
-            perm_cache[key] = perm
-        values.append(forms.attr_values[r][perm[rank]])
+    # One sort groups the rows by (attribute, category) pair; each group
+    # maps its ranks through that pair's permutation with one gather.
+    rel_inv, uniq_rels = pd.factorize(rels)
+    cat_inv, uniq_cats = pd.factorize(category)
+    value_arrs = [np.array(forms.attr_values[r], dtype=object) for r in uniq_rels]
+    pair = rel_inv * len(uniq_cats) + cat_inv[pidx]
+    order = np.argsort(pair)
+    starts = np.flatnonzero(np.diff(pair[order], prepend=-1))
+    values = np.empty(len(pidx), dtype=object)
+    for s, e in zip(starts, [*starts[1:], len(order)]):
+        rows = order[s:e]
+        ri, ci = divmod(int(pair[rows[0]]), len(uniq_cats))
+        perm = affinity_permutation(uniq_rels[ri], uniq_cats[ci], N_VALUES_PER_ATTR)
+        values[rows] = value_arrs[ri][perm[ranks[rows]]]
     attributes = (
         pd.DataFrame({"pidx": pidx, "r": rels, "value": values})
         .drop_duplicates(["pidx", "r", "value"])
@@ -196,47 +209,46 @@ def generate_catalog(
     concept_label_lut: Dict[str, str] = {}
     concept_root_lut: Dict[str, str] = {}
     for root, tax in onto.concept_taxonomies.items():
-        for nid, label in tax.nodes[["node_id", "label"]].itertuples(index=False):
+        for nid, label in zip(tax.nodes["node_id"], tax.nodes["label"]):
             concept_label_lut[nid] = label
             concept_root_lut[nid] = root
 
-    attr_picks = attributes.groupby("pidx").head(3).groupby("pidx")
-    attr_by_p: Dict[int, List[str]] = {
-        int(k): v["value"].tolist() for k, v in attr_picks
-    }
-    conc_picks = concept_links.groupby("pidx").head(2).groupby("pidx")
-    conc_by_p: Dict[int, List[str]] = {
-        int(k): v["t"].tolist() for k, v in conc_picks
-    }
+    # The draw-free part of each title, in title order: the category
+    # label, the product's first three attribute values and its first two
+    # concept labels (frame order).
+    cat_lut = dict(zip(cat_leaves["node_id"], cat_leaves["label"]))
+    body_toks: List[List[str]] = [[cat_lut[c]] for c in category.tolist()]
+    body_tags: List[List[str]] = [["B-Category"] for _ in range(n)]
+    picks = attributes.groupby("pidx").head(3)
+    for i, v in zip(picks["pidx"].tolist(), picks["value"].tolist()):
+        body_toks[i].append(v)
+        body_tags[i].append("B-Attr")
+    picks = concept_links.groupby("pidx").head(2)
+    for i, nid in zip(picks["pidx"].tolist(), picks["t"].tolist()):
+        body_toks[i].append(concept_label_lut[nid])
+        body_tags[i].append(f"B-{concept_root_lut[nid]}")
 
+    noise = np.array(NOISE_TOKENS)
     titles, tags_col, comments = [], [], []
-    for i in range(n):
-        toks: List[str] = []
-        tags: List[str] = []
-        if brand_surface[i] is not None and g.random() < 0.9:
-            toks.append(str(brand_surface[i]))
-            tags.append("B-Brand")
-        toks.append(cat_lut[category[i]])
-        tags.append("B-Category")
-        for v in attr_by_p.get(i, []):
-            toks.append(v)
-            tags.append("B-Attr")
-        for nid in conc_by_p.get(i, []):
-            toks.append(concept_label_lut[nid])
-            tags.append(f"B-{concept_root_lut[nid]}")
+    for brand, toks, tags in zip(brand_surface.tolist(), body_toks, body_tags):
+        if brand is not None and g.random() < 0.9:
+            toks = [str(brand), *toks]
+            tags = ["B-Brand", *tags]
         n_noise = int(g.integers(2, 5))
-        for w in g.choice(NOISE_TOKENS, size=n_noise, replace=False):
-            toks.append(str(w))
-            tags.append("O")
-        order = g.permutation(len(toks))
-        titles.append(" ".join(toks[j] for j in order))
-        tags_col.append(" ".join(tags[j] for j in order))
-        extra = " ".join(g.choice(NOISE_TOKENS, size=5, replace=False))
-        comments.append(titles[-1] + " " + extra)
+        toks += g.choice(noise, size=n_noise, replace=False).tolist()
+        tags += ["O"] * n_noise
+        order = g.permutation(len(toks)).tolist()
+        title = " ".join([toks[j] for j in order])
+        titles.append(title)
+        tags_col.append(" ".join([tags[j] for j in order]))
+        extra = " ".join(g.choice(noise, size=5, replace=False).tolist())
+        comments.append(title + " " + extra)
 
+    # Each id is formatted once and gathered by the link and attribute rows.
+    product_ids = np.array([S.product_id(i) for i in range(n)], dtype=object)
     products = pd.DataFrame(
         {
-            "product_id": [S.product_id(i) for i in range(n)],
+            "product_id": product_ids,
             "category": category,
             "brand_node": brand_node,
             "brand_surface": brand_surface,
@@ -252,9 +264,9 @@ def generate_catalog(
         }
     )
     concept_links = concept_links.assign(
-        product_id=[S.product_id(int(i)) for i in concept_links["pidx"]]
+        product_id=product_ids[concept_links["pidx"].to_numpy(dtype=np.int64)]
     )[["product_id", "r", "t"]]
     attributes = attributes.assign(
-        product_id=[S.product_id(int(i)) for i in attributes["pidx"]]
+        product_id=product_ids[attributes["pidx"].to_numpy(dtype=np.int64)]
     )[["product_id", "r", "value"]]
     return RawCatalog(products=products, concept_links=concept_links, attributes=attributes)

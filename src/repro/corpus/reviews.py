@@ -49,28 +49,41 @@ def generate_reviews(
     linked concepts with probability 0.3.
     """
     g = np.random.default_rng(cfg.derived_seed("reviews"))
-    cat_label = onto.taxonomies["Category"].nodes.set_index("node_id")["label"]
+    cat_nodes = onto.taxonomies["Category"].nodes
+    cat_label = dict(zip(cat_nodes["node_id"], cat_nodes["label"]))
     concept_label = {}
     for tax in onto.concept_taxonomies.values():
-        concept_label.update(
-            dict(tax.nodes[["node_id", "label"]].itertuples(index=False))
-        )
-    links_by_p = catalog.concept_links.groupby("product_id")["t"].agg(list)
+        concept_label.update(zip(tax.nodes["node_id"], tax.nodes["label"]))
+    links = catalog.concept_links
+    link_targets = links["t"].to_numpy()
+    link_pos = links.groupby("product_id").indices
 
-    props = list(REVIEW_PROPERTIES)
-    rows = []
-    rid = 0
-    for pid, cat in catalog.products[["product_id", "category"]].itertuples(
-        index=False
+    # A single draw ``g.choice(a)`` is ``a[g.integers(0, len(a),
+    # dtype=np.int64)]``: the same value and the same generator state, at
+    # a quarter of the cost.  ``pick`` makes that draw; the draws without
+    # replacement stay ``g.choice`` calls.
+    def pick(a):
+        return a[g.integers(0, len(a), dtype=np.int64)]
+
+    props = np.array(list(REVIEW_PROPERTIES))
+    opinions = {pr: np.array(ops) for pr, ops in REVIEW_PROPERTIES.items()}
+    filler = np.array(REVIEW_FILLER)
+    review_ids: List[str] = []
+    product_ids: List[str] = []
+    texts: List[str] = []
+    golds: List[str] = []
+    for pid, cat in zip(
+        catalog.products["product_id"].tolist(), catalog.products["category"].tolist()
     ):
+        aspect = cat_label[cat]
+        pos = link_pos.get(pid)
         for _ in range(int(g.poisson(REVIEWS_PER_PRODUCT))):
-            aspect = cat_label[cat]
             k = int(g.integers(1, 4))
-            chosen = g.choice(props, size=k, replace=False)
+            chosen = g.choice(props, size=k, replace=False).tolist()
             gold: List[str] = []
-            toks: List[str] = list(g.choice(REVIEW_FILLER, size=4, replace=False))
+            toks: List[str] = g.choice(filler, size=4, replace=False).tolist()
             for pr in chosen:
-                op = str(g.choice(REVIEW_PROPERTIES[pr]))
+                op = str(pick(opinions[pr]))
                 gold.append(f"{aspect}|{pr}|{op}")
                 # 25% of mentions invert opinion/property order ("good
                 # quality" vs "quality good") — the adjacency heuristic
@@ -83,22 +96,24 @@ def generate_reviews(
             # triple ("fast delivery though" style) give IE an error
             # floor — extraction must rely on structure, not lexicon hits
             if g.random() < 0.25:
-                stray_pr = str(g.choice(props))
-                toks.append(str(g.choice(REVIEW_PROPERTIES[stray_pr])))
+                stray_pr = str(pick(props))
+                toks.append(str(pick(opinions[stray_pr])))
             if g.random() < 0.15:
-                unused = [p for p in props if p not in chosen]
+                unused = [p for p in REVIEW_PROPERTIES if p not in chosen]
                 if unused:
-                    toks.append(str(g.choice(unused)))
-            if pid in links_by_p.index and g.random() < 0.3:
-                toks.append(concept_label[str(g.choice(links_by_p[pid]))])
-            toks += list(g.choice(REVIEW_FILLER, size=2, replace=False))
-            rows.append(
-                {
-                    "review_id": f"rev:{rid:08d}",
-                    "product_id": pid,
-                    "text": " ".join(toks),
-                    "gold": ";".join(gold),
-                }
-            )
-            rid += 1
-    return pd.DataFrame(rows)
+                    toks.append(pick(unused))
+            if pos is not None and g.random() < 0.3:
+                toks.append(concept_label[link_targets[pick(pos)]])
+            toks += g.choice(filler, size=2, replace=False).tolist()
+            review_ids.append(f"rev:{len(review_ids):08d}")
+            product_ids.append(pid)
+            texts.append(" ".join(toks))
+            golds.append(";".join(gold))
+    return pd.DataFrame(
+        {
+            "review_id": review_ids,
+            "product_id": product_ids,
+            "text": texts,
+            "gold": golds,
+        }
+    )

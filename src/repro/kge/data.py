@@ -124,7 +124,8 @@ def negative_sample(
     With ``known`` given (the sorted :func:`triple_keys` of the true
     triples, ``KGEDataset.known_keys``), corruptions that collide with a
     true triple are re-drawn once (best-effort filtering — standard
-    practice).  The whole batch is tested with one binary search; the
+    practice).  The whole batch is tested with one binary search (one
+    ``searchsorted``, then an equality test at each insertion point); the
     re-draws are scalar draws in row order, so the generator's stream
     and every negative are those of a row-by-row loop.
     """
@@ -136,7 +137,9 @@ def negative_sample(
     neg[~corrupt_tail, 0] = repl[~corrupt_tail]
     if known is not None:
         q = triple_keys(neg, n_ent)
-        hits = np.searchsorted(known, q, "right") > np.searchsorted(known, q, "left")
+        at = np.searchsorted(known, q)
+        hits = at < len(known)
+        hits[hits] = known[at[hits]] == q[hits]
         for i in np.flatnonzero(hits):
             neg[i, 2 if corrupt_tail[i] else 0] = rng.integers(0, n_ent)
     return neg

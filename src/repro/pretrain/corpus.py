@@ -76,12 +76,18 @@ def general_texts(n_sentences: int = 2000, seed: int = 23) -> List[List[str]]:
     """The general-domain corpus: GENERAL_TOKENS with a sprinkle of the
     shared noise/marketing tokens (the small vocabulary overlap a
     general-web corpus would have with e-commerce text)."""
+    # ``g.choice(a, size=m)`` with replacement and no ``p`` is
+    # ``a[g.integers(0, len(a), size=m, dtype=np.int64)]`` (same values,
+    # same generator state); the token lists become arrays once per call.
     g = np.random.default_rng(seed)
+    general = np.array(GENERAL_TOKENS)
+    noise = np.array(NOISE_TOKENS)
     out = []
     for _ in range(n_sentences):
         length = int(g.integers(5, 12))
-        toks = list(g.choice(GENERAL_TOKENS, size=length))
+        idx = g.integers(0, len(general), size=length, dtype=np.int64)
+        toks = general[idx].tolist()
         if g.random() < 0.3:
-            toks.append(str(g.choice(NOISE_TOKENS)))
-        out.append([str(t) for t in toks])
+            toks.append(str(noise[g.integers(0, len(noise), dtype=np.int64)]))
+        out.append(toks)
     return out

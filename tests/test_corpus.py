@@ -131,6 +131,7 @@ def test_catalog_deterministic():
     b = generate_catalog(onto, forms, TEST_CONFIG)
     assert a.products.equals(b.products)
     assert a.attributes.equals(b.attributes)
+    assert a.concept_links.equals(b.concept_links)
 
 
 def test_catalog_scale_sensitivity():
